@@ -35,6 +35,7 @@ from .estimator import (
     besov_diagnostic,
     epsilon_from_sigma,
     estimate,
+    estimate_coefficients,
     finest_levels,
     lp_risk,
     mise,
@@ -113,6 +114,7 @@ __all__ = [
     "convolve_columns",
     "epsilon_from_sigma",
     "estimate",
+    "estimate_coefficients",
     "exact_fgn_path",
     "farima_path",
     "finest_levels",

@@ -48,7 +48,7 @@ from .estimator import (
     RiskReport,
     ThresholdPolicy,
     epsilon_from_sigma,
-    estimate,
+    estimate_coefficients,
     finest_levels,
 )
 from .lrdnoise import _CONSTRUCTIONS as NOISE_CONSTRUCTIONS
@@ -347,6 +347,15 @@ def _resolve_levels(cfg: ExperimentConfig, epsilon: float, alpha) -> LevelSelect
 class _RunContext:
     """Everything a single run needs, built once per process.
 
+    A run never forms its estimate on the grid. The Meyer basis is
+    orthonormal, so by Parseval the run's Riemann squared error
+    ``mean((estimate - truth)^2)`` splits into the distance between the
+    thresholded coefficients and the truth's coefficients on the kept
+    blocks, plus the truth's energy outside them. The context stores the
+    truth's coefficients truncated at the run levels ``(j1, j2)`` and that
+    energy beyond them, ``||f||^2 - sum of kept squares``, so scoring a run
+    is one subtraction and one sum.
+
     In the noiseless limit (``sigma == 0``) the per-level threshold
     vanishes, so the estimate is the plain truncated reconstruction of
     the deconvolved data; the policy is built with ``gamma = 0`` and a
@@ -356,9 +365,9 @@ class _RunContext:
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
         self.alpha = LongMemoryParams(cfg.alpha1, cfg.alpha2)
-        self.truth = make_target(cfg.signal, cfg.N)
+        truth = make_target(cfg.signal, cfg.N).values
         self.kernel = _build_kernel(cfg)
-        self.q = convolve_columns(self.truth.values, self.kernel)
+        self.q = convolve_columns(truth, self.kernel)
         self.sigma = calibrate_sigma(self.q, cfg.snr_db)
         self.noiseless = self.sigma == 0.0
         if self.noiseless:
@@ -372,6 +381,9 @@ class _RunContext:
                 gamma=cfg.gamma, epsilon=self.epsilon, alpha=self.alpha, nu=cfg.nu
             )
         self.levels = _resolve_levels(cfg, self.epsilon, self.alpha)
+        kept = forward_2d(truth, self.levels.j1, self.levels.j2, m0=_M0)
+        self.truth_coeffs = kept.values
+        self.tail = max(float(np.mean(truth**2)) - kept.energy(), 0.0)
 
 
 _CTX = None
@@ -383,6 +395,7 @@ def _worker_init(cfg: ExperimentConfig) -> None:
 
 
 def _run_one(run: int) -> float:
+    """Squared error of one run, scored in the coefficient domain."""
     ctx = _CTX
     if ctx.noiseless:
         Y = ctx.q
@@ -390,8 +403,8 @@ def _run_one(run: int) -> float:
         seq = np.random.SeedSequence([ctx.cfg.seed, run])
         sheet = noise_sheet(ctx.alpha, ctx.cfg.N, seed=seq, construction=ctx.cfg.noise)
         Y = observe(ctx.q, ctx.sigma, sheet)
-    est, _ = estimate(Y, ctx.kernel, ctx.policy, ctx.levels)
-    return float(np.mean((est.values - ctx.truth.values) ** 2))
+    coeffs = estimate_coefficients(Y, ctx.kernel, ctx.policy, ctx.levels, _M0)
+    return float(np.sum((coeffs.values - ctx.truth_coeffs) ** 2)) + ctx.tail
 
 
 def _simulate(cfg: ExperimentConfig, jobs: int = 1):
@@ -813,9 +826,11 @@ def _read_field_csv(path: str) -> np.ndarray:
     rows = _read_csv_rows(path, _FIELD_HEADER)
     count = len(rows)
     N = math.isqrt(count)
-    if N * N != count or N < 8 or N & (N - 1):
+    if N * N != count or N < 2 ** (_M0 + 1) or N & (N - 1):
         raise ConfigError(
-            f"{path} must hold N*N rows for a power of two N >= 8, got {count} rows"
+            f"{path} must hold N*N rows for a power of two N >= {2 ** (_M0 + 1)} "
+            f"(the transform's coarsest scale m0 = {_M0} needs N >= 2^(m0+1)), "
+            f"got {count} rows"
         )
     grid = np.zeros((N, N))
     seen = np.zeros((N, N), dtype=bool)

@@ -1,8 +1,12 @@
 """Wavelet-domain deconvolution by Fourier division and hard thresholding.
 
-The estimator inverts column-wise blur in the Fourier domain, expands the
-result in the 2-d Meyer basis, and keeps only coefficients whose modulus
-exceeds a level-dependent threshold calibrated to long-memory noise:
+The estimator inverts column-wise blur in the Fourier domain and expands
+the result in the 2-d Meyer basis without returning to the grid: the
+divided spectrum ``D = fft(Y) / (N g)`` is exactly the input the axis-0
+Meyer analysis takes, so it goes straight in (the WaveD design of
+Johnstone, Kerkyacharian, Picard and Raimondo, 2004). It keeps only
+coefficients whose modulus exceeds a level-dependent threshold calibrated
+to long-memory noise:
 
     lambda(j1, j2) = gamma eps^ab sqrt(|ln eps|)
                      2^(j1 (2 nu + alpha1 - 1) / 2) 2^(j2 (alpha2 - 1) / 2)
@@ -12,6 +16,11 @@ of ill-posedness the blur is assumed to have. Division happens per column,
 so the blur may vary with location ``x``; only the frequency rows actually
 used by the kept levels are divided, and an exact zero of the kernel
 transform on those rows raises :class:`~fdeconv.errors.IllPosedError`.
+
+:func:`estimate_coefficients` stops at the thresholded coefficients;
+:func:`estimate` adds the synthesis onto the grid. Because the basis is
+orthonormal, a squared error can be scored on the coefficients alone
+(Parseval), which is how the Monte Carlo runs of :mod:`fdeconv.cli` score.
 """
 
 from __future__ import annotations
@@ -28,7 +37,13 @@ from .errors import (
     ParameterError,
 )
 from .lrdnoise import LongMemoryParams
-from .meyer import WaveletCoeffs2D, forward_2d, inverse_2d, meyer_filter
+from .meyer import (  # forward_2d stays importable from here, as before
+    WaveletCoeffs2D,
+    analyze_spectrum,
+    forward_2d,
+    inverse_2d,
+    meyer_filter,
+)
 from .model import BlurKernel, SampledField
 
 #: Threshold multiplier used throughout the experiments.
@@ -179,22 +194,67 @@ def _kernel_fourier(kernel, N: int) -> np.ndarray:
 
 
 def _deconvolved_rows(Y: np.ndarray, g: np.ndarray, filt, J1: int) -> np.ndarray:
-    """Per-column Fourier division restricted to the rows levels <= J1 use."""
+    """Per-column Fourier division restricted to the rows levels <= J1 use.
+
+    Returns ``D = fft(Y) / (N g)`` along axis 0, in FFT bin order: the
+    axis-0 spectrum, divided by ``N``, of the deconvolved field
+    ``ifft(fft(Y) / g)``, on those rows and zero elsewhere. The
+    windows of the levels up to ``J1`` are non-zero exactly on
+    ``|m| < 2^(J1+2)/3`` (on every row at the top level), so the rows form
+    two contiguous slices, ``[0, P)`` and ``[N-Q, N)``. One real FFT gives
+    the non-negative rows and conjugate symmetry the negative ones.
+    """
     N = Y.shape[0]
     needed = np.zeros(N, dtype=bool)
     for j in filt.levels_up_to(J1):
         needed |= np.abs(filt.window(j)) > 0
-    bad = needed[:, None] & (g == 0)
-    if np.any(bad):
-        rows, cols = np.nonzero(bad)
-        signed = rows[0] if rows[0] < N // 2 else rows[0] - N
+    P = int(needed[: N // 2].sum())
+    Q = int(needed[N // 2 :].sum())
+    g_pos, g_neg = g[:P], g[N - Q :]
+    dead_pos, dead_neg = g_pos == 0, g_neg == 0
+    if dead_pos.any() or dead_neg.any():
+        rows, cols = np.nonzero(np.concatenate([dead_pos, dead_neg]))
+        signed = rows[0] if rows[0] < P else rows[0] - P - Q
         raise IllPosedError(
             f"kernel transform vanishes on {rows.size} required (frequency, column) "
             f"pairs; first at frequency m={signed}, column {cols[0]}"
         )
-    D = np.zeros_like(g)
-    D[needed] = np.fft.fft(Y, axis=0)[needed] / (N * g[needed])
+    half = np.fft.rfft(Y, axis=0, norm="forward")
+    D = np.empty((N, N), dtype=np.complex128)
+    np.divide(half[:P], g_pos, out=D[:P])
+    D[P : N - Q] = 0.0
+    np.divide(np.conj(half[Q:0:-1]), g_neg, out=D[N - Q :])
     return D
+
+
+def estimate_coefficients(
+    Y,
+    kernel,
+    policy: ThresholdPolicy,
+    levels: LevelSelection | None = None,
+    m0: int = 3,
+) -> WaveletCoeffs2D:
+    """Deconvolve, expand and hard-threshold; the coefficient stage of :func:`estimate`.
+
+    The divided spectrum goes straight into the axis-0 analysis, so the
+    estimate is never formed on the grid. Every block is thresholded at its
+    stored labels except the pure scaling x scaling block, which carries the
+    low-frequency bulk of the signal and is always kept.
+    """
+    values = validate_field(Y)
+    N = values.shape[0]
+    if levels is None:
+        levels = finest_levels(policy.epsilon, 1.0, policy.alpha, policy.nu, N, m0)
+    filt = meyer_filter(N, m0)
+    D = _deconvolved_rows(values, _kernel_fourier(kernel, N), filt, levels.j1)
+    # Y and g are real and the divided rows are +-symmetric, so the divided
+    # field is real and so are its coefficients.
+    coeffs = analyze_spectrum(D, levels.j1, levels.j2, m0, real=True)
+    for j1, j2, block in coeffs.blocks():
+        if j1 == m0 - 1 and j2 == m0 - 1:
+            continue
+        block[np.abs(block) <= threshold_lambda(policy, j1, j2)] = 0.0
+    return coeffs
 
 
 def estimate(
@@ -206,28 +266,12 @@ def estimate(
 ) -> tuple[SampledField, WaveletCoeffs2D]:
     """Deconvolve, expand, hard-threshold, reconstruct.
 
-    Returns the estimated field together with the post-threshold
-    coefficients. Every block is thresholded at its stored labels except the
-    pure scaling x scaling block, which carries the low-frequency bulk of
-    the signal and is always kept.
+    Returns the estimated field, synthesized from the coefficients of
+    :func:`estimate_coefficients`, together with those coefficients.
     """
     values = validate_field(Y)
-    N = values.shape[0]
-    if levels is None:
-        levels = finest_levels(policy.epsilon, 1.0, policy.alpha, policy.nu, N, m0)
-    filt = meyer_filter(N, m0)
-    g = _kernel_fourier(kernel, N)
-    D = _deconvolved_rows(values, g, filt, levels.j1)
-    # Y and g are real and the kept bands are +-symmetric, so the divided
-    # field is real up to rounding; drop the imaginary dust before analysis.
-    deconvolved = np.fft.ifft(D * N, axis=0).real
-    coeffs = forward_2d(deconvolved, J1=levels.j1, J2=levels.j2, m0=m0)
-    for j1, j2, block in coeffs.blocks():
-        if j1 == m0 - 1 and j2 == m0 - 1:
-            continue
-        block[np.abs(block) <= threshold_lambda(policy, j1, j2)] = 0.0
-    estimate_values = inverse_2d(coeffs, N)
-    return SampledField(np.ascontiguousarray(estimate_values.real)), coeffs
+    coeffs = estimate_coefficients(values, kernel, policy, levels, m0)
+    return SampledField(np.ascontiguousarray(inverse_2d(coeffs, values.shape[0]))), coeffs
 
 
 def beta_tilde(

@@ -138,6 +138,10 @@ class MeyerFilter:
         for w in windows.values():
             w.flags.writeable = False
         self._windows = windows
+        self._runs = {
+            j: _support_runs(np.abs(w) > 0, self.block_length(j))
+            for j, w in windows.items()
+        }
 
     @property
     def levels(self) -> tuple[int, ...]:
@@ -162,6 +166,22 @@ class MeyerFilter:
         """Read-only complex window of block ``j`` in FFT bin order."""
         self._check_level(j)
         return self._windows[j]
+
+    def support_runs(self, j: int) -> tuple[tuple[int, int], ...]:
+        """Rows where block ``j``'s window is non-zero, as ``(start, stop)`` runs.
+
+        Rows are in FFT bin order, and each run maps onto consecutive
+        residues modulo the block length ``L``: row ``m`` folds onto residue
+        ``m mod L``. A wavelet window is non-zero on ``L/3 < |m| < 4L/3``, the
+        scaling window on ``|m| <= 2L/3`` and the completion window on
+        ``|m| > N/6``; each of these sets is shorter than ``2L`` and each
+        of its signs is one interval, so every residue receives at most two
+        rows. A fold over the runs therefore adds exactly the non-zero terms
+        of a fold over all ``N`` rows, and two terms sum the same in either
+        order.
+        """
+        self._check_level(j)
+        return self._runs[j]
 
     def band(self, j: int) -> np.ndarray:
         """Sorted signed integer frequencies where block ``j`` is non-zero."""
@@ -189,6 +209,13 @@ class MeyerFilter:
             raise ParameterError(f"no block labelled {j}; levels are {self.levels}")
 
 
+def _support_runs(mask: np.ndarray, L: int) -> tuple[tuple[int, int], ...]:
+    """Runs of consecutive ``True`` rows of ``mask``, also split at multiples of ``L``."""
+    rows = np.flatnonzero(mask)
+    breaks = np.flatnonzero((np.diff(rows) != 1) | (rows[1:] % L == 0)) + 1
+    return tuple((int(run[0]), int(run[-1]) + 1) for run in np.split(rows, breaks))
+
+
 @functools.lru_cache(maxsize=None)
 def meyer_filter(size: int, m0: int = 3) -> MeyerFilter:
     """Memoized :class:`MeyerFilter` for the given grid size."""
@@ -212,18 +239,24 @@ def _analyze(spectra: np.ndarray, filt: MeyerFilter, J: int) -> np.ndarray:
     """Wavelet analysis along axis 0.
 
     ``spectra`` has shape (N, B) and holds the axis-0 DFT of the data divided
-    by N. Returns packed coefficients of shape (2^(J+1), B). For each block
-    the band content is folded onto residues modulo the block length; the
-    inverse DFT of the folded array evaluates all shifts at once.
+    by N; only the rows ``[-2^(J+1), 2^(J+1))`` are read. Returns packed
+    coefficients of shape (2^(J+1), B). For each block the band content is
+    folded onto residues modulo the block length, using only the rows of
+    :meth:`MeyerFilter.support_runs`; the inverse DFT of the folded array
+    evaluates all shifts at once.
     """
-    N = filt.size
-    pieces = []
+    B = spectra.shape[1]
+    out = np.empty((2 ** (J + 1), B), dtype=np.complex128)
     for j in filt.levels_up_to(J):
         L = filt.block_length(j)
-        z = np.conj(filt.window(j))[:, None] * spectra
-        folded = z.reshape(N // L, L, -1).sum(axis=0)
-        pieces.append(np.sqrt(L) * np.fft.ifft(folded, axis=0))
-    return np.concatenate(pieces, axis=0)
+        w = filt.window(j)
+        folded = np.zeros((L, B), dtype=np.complex128)
+        for start, stop in filt.support_runs(j):
+            r = start % L
+            z = np.conj(w[start:stop])[:, None] * spectra[start:stop]
+            folded[r : r + stop - start] += z
+        np.multiply(np.sqrt(L), np.fft.ifft(folded, axis=0), out=out[level_slice(j, filt.m0)])
+    return out
 
 
 def _synthesize(coeffs: np.ndarray, filt: MeyerFilter, J: int) -> np.ndarray:
@@ -233,10 +266,26 @@ def _synthesize(coeffs: np.ndarray, filt: MeyerFilter, J: int) -> np.ndarray:
     spectra = np.zeros((N, B), dtype=np.complex128)
     for j in filt.levels_up_to(J):
         L = filt.block_length(j)
-        block = coeffs[level_slice(j, filt.m0)]
-        shifted = np.fft.fft(block, axis=0) / np.sqrt(L)
-        spectra += filt.window(j)[:, None] * np.tile(shifted, (N // L, 1))
+        w = filt.window(j)
+        shifted = np.fft.fft(coeffs[level_slice(j, filt.m0)], axis=0) / np.sqrt(L)
+        for start, stop in filt.support_runs(j):
+            r = start % L
+            spectra[start:stop] += w[start:stop, None] * shifted[r : r + stop - start]
     return np.fft.ifft(spectra * N, axis=0)
+
+
+def _real_spectrum(half: np.ndarray, N: int, J: int) -> np.ndarray:
+    """Axis-0 spectrum in FFT bin order of a real signal, from its ``rfft``.
+
+    ``half`` holds the rows ``0..N/2`` of the spectrum. Only the rows
+    ``[-2^(J+1), 2^(J+1))`` that :func:`_analyze` reads at level ``J`` are
+    filled, the negative ones by conjugate symmetry; the rest are zero.
+    """
+    K = min(2 ** (J + 1), N // 2)
+    out = np.zeros((N,) + half.shape[1:], dtype=np.complex128)
+    out[:K] = half[:K]
+    out[N - K :] = np.conj(half[K:0:-1])
+    return out
 
 
 def _as_2d_column(x: np.ndarray) -> np.ndarray:
@@ -244,7 +293,9 @@ def _as_2d_column(x: np.ndarray) -> np.ndarray:
 
 
 def _resolve_J(filt: MeyerFilter, J: int | None) -> int:
-    return filt.max_level if J is None else J
+    J = filt.max_level if J is None else J
+    filt.levels_up_to(J)  # validates J against N and m0
+    return J
 
 
 def forward_1d(signal, J: int | None = None, m0: int = 3) -> np.ndarray:
@@ -358,25 +409,55 @@ class WaveletCoeffs2D:
         return float(np.sum(np.abs(self.values) ** 2))
 
 
+def analyze_spectrum(
+    spectrum: np.ndarray,
+    J1: int | None = None,
+    J2: int | None = None,
+    m0: int = 3,
+    real: bool = False,
+) -> WaveletCoeffs2D:
+    """Separable 2-d Meyer analysis of a field given by its axis-0 spectrum.
+
+    ``spectrum`` is the ``N x N`` axis-0 DFT of the field divided by ``N``, in
+    FFT bin order; only its rows ``[-2^(J1+1), 2^(J1+1))`` are read, so the
+    others may be left at zero. Axis 0 is analysed first, then axis 1. With
+    ``real`` the field is known to be real: its coefficients are real, so the
+    imaginary rounding dust of the axis-0 stage is dropped, axis 1 uses a real
+    FFT, and the returned values are real.
+    """
+    S = np.asarray(spectrum)
+    if S.ndim != 2 or S.shape[0] != S.shape[1]:
+        raise ParameterError(f"expected a square 2-d spectrum, got shape {S.shape}")
+    N = S.shape[0]
+    filt = meyer_filter(N, m0)
+    J1 = _resolve_J(filt, J1)
+    J2 = _resolve_J(filt, J2)
+    U = _analyze(S, filt, J1)
+    if real:
+        half = np.fft.rfft(U.real, axis=1, norm="forward").T
+        C = _analyze(_real_spectrum(half, N, J2), filt, J2).T.real
+    else:
+        C = _analyze(np.fft.fft(U, axis=1, norm="forward").T, filt, J2).T
+    return WaveletCoeffs2D(C, m0, J1, J2)
+
+
 def forward_2d(field, J1: int | None = None, J2: int | None = None, m0: int = 3) -> WaveletCoeffs2D:
     """Separable 2-d Meyer analysis: axis 0 first, then axis 1.
 
     ``field`` must be a square ``N x N`` array sampled on the product grid.
     Truncating at ``(J1, J2)`` yields the coefficients of the orthogonal
-    projection onto the tensor blocks up to those levels.
+    projection onto the tensor blocks up to those levels. Real fields get
+    real coefficients.
     """
     x = np.asarray(field)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ParameterError(f"expected a square 2-d field, got shape {x.shape}")
+    if np.iscomplexobj(x):
+        return analyze_spectrum(np.fft.fft(x, axis=0, norm="forward"), J1, J2, m0)
     N = x.shape[0]
-    filt = meyer_filter(N, m0)
-    J1 = _resolve_J(filt, J1)
-    J2 = _resolve_J(filt, J2)
-    U = _analyze(np.fft.fft(x, axis=0) / N, filt, J1)
-    C = _analyze(np.fft.fft(U, axis=1).T / N, filt, J2).T
-    if not np.iscomplexobj(x):
-        C = C.real
-    return WaveletCoeffs2D(C, m0, J1, J2)
+    J1 = _resolve_J(meyer_filter(N, m0), J1)
+    half = np.fft.rfft(x, axis=0, norm="forward")
+    return analyze_spectrum(_real_spectrum(half, N, J1), J1, J2, m0, real=True)
 
 
 def inverse_2d(coeffs: WaveletCoeffs2D, N: int) -> np.ndarray:

@@ -324,6 +324,55 @@ class TestSimulate:
         assert os.listdir(cfg.outdir) == []
 
 
+class TestParsevalScore:
+    """A run's coefficient-domain score equals its spatial squared error."""
+
+    @pytest.mark.parametrize("N", [64, 256])
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(j1="auto", j2="auto"),
+            dict(j1="preset", j2="3"),
+            dict(j1="3", j2="4", signal="doppler", kernel="grid"),
+            dict(j1="4", j2="2", kernel="circular", snr_db=10.0),
+            dict(j1="3", j2="4", snr_db=math.inf),
+            dict(j1="preset", j2="3", noise="exact-fgn-product", alpha1=0.4, alpha2=0.2),
+        ],
+    )
+    def test_score_matches_spatial_error(self, tmp_path, monkeypatch, N, overrides):
+        import fdeconv.cli as cli
+        from fdeconv.estimator import estimate
+        from fdeconv.lrdnoise import noise_sheet
+        from fdeconv.model import observe
+
+        cfg = fast_config(tmp_path, N=N, **overrides)
+        ctx = cli._RunContext(cfg)
+        monkeypatch.setattr(cli, "_CTX", ctx)
+        truth = make_target(cfg.signal, N).values
+        for run in range(2):
+            if ctx.noiseless:
+                Y = ctx.q
+            else:
+                seq = np.random.SeedSequence([cfg.seed, run])
+                sheet = noise_sheet(ctx.alpha, N, seed=seq, construction=cfg.noise)
+                Y = observe(ctx.q, ctx.sigma, sheet)
+            est, _ = estimate(Y, ctx.kernel, ctx.policy, ctx.levels)
+            spatial = float(np.mean((est.values - truth) ** 2))
+            assert cli._run_one(run) == pytest.approx(spatial, rel=1e-12, abs=0.0)
+
+    def test_context_keeps_only_the_kept_truth_coefficients(self, tmp_path):
+        import fdeconv.cli as cli
+
+        cfg = fast_config(tmp_path, N=256, j1="4", j2="5")
+        ctx = cli._RunContext(cfg)
+        truth = make_target(cfg.signal, 256).values
+        full = forward_2d(truth).values
+        assert ctx.truth_coeffs.shape == (32, 64)
+        np.testing.assert_allclose(ctx.truth_coeffs, full[:32, :64], rtol=0, atol=1e-15)
+        beyond = np.sum(full**2) - np.sum(full[:32, :64] ** 2)
+        assert ctx.tail == pytest.approx(beyond, rel=1e-10)
+
+
 class TestTable:
     def test_full_grid_has_one_row_per_cell(self, tmp_path):
         cfg = fast_config(tmp_path, N=16, runs=1)
@@ -554,7 +603,7 @@ class TestTransform:
     def test_duplicate_cell_rejected(self, tmp_path):
         path = tmp_path / "field.csv"
         rows = ["t,x,value"]
-        N = 8
+        N = 16
         for i in range(N):
             for j in range(N):
                 rows.append(f"{i / N!r},{j / N!r},1.0")
@@ -562,6 +611,19 @@ class TestTransform:
         path.write_text("\n".join(rows) + "\n")
         with pytest.raises(ConfigError, match="duplicate grid cell"):
             _read_field_csv(str(path))
+
+    def test_field_below_coarsest_scale_fails_in_the_reader(self, tmp_path, capsys):
+        # m0 = 3 needs N >= 16; an 8 x 8 field must be refused while reading,
+        # not later by the transform's level check.
+        src = str(tmp_path / "field.csv")
+        _write_field_csv(np.ones((8, 8)), src)
+        with pytest.raises(ConfigError, match="N >= 16"):
+            _read_field_csv(src)
+        assert main(["transform", src, str(tmp_path / "coeffs.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and "N >= 16" in err
+        assert "ParameterError" not in err
+        assert not (tmp_path / "coeffs.csv").exists()
 
     def test_partial_grid_rejected(self, tmp_path):
         path = tmp_path / "field.csv"

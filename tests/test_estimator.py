@@ -23,6 +23,7 @@ from fdeconv.estimator import (
     beta_tilde,
     epsilon_from_sigma,
     estimate,
+    estimate_coefficients,
     finest_levels,
     lp_risk,
     mise,
@@ -30,7 +31,8 @@ from fdeconv.estimator import (
     validate_field,
 )
 from fdeconv.lrdnoise import LongMemoryParams, noise_sheet
-from fdeconv.meyer import forward_2d, inverse_2d
+from fdeconv.estimator import _deconvolved_rows
+from fdeconv.meyer import forward_2d, inverse_2d, meyer_filter
 from fdeconv.model import (
     SampledField,
     calibrate_sigma,
@@ -354,6 +356,18 @@ class TestIllPosed:
                 LevelSelection(3, 3, 3.0, 3.0),
             )
 
+    @pytest.mark.parametrize("dead_bin, signed", [(20, 20), (64 - 20, -20), (64 - 1, -1)])
+    def test_zero_on_either_half_of_the_spectrum_raises(self, dead_bin, signed):
+        # The division builds negative rows from a real FFT by conjugate
+        # symmetry; a zero of g on a negative row alone must still be caught.
+        N = 64
+        kernel = self.notch_kernel(N, 20)
+        kernel.fourier_t[:] = np.fft.fft(kernel.samples, axis=0) / N
+        kernel.fourier_t[dead_bin, 5] = 0.0
+        policy = ThresholdPolicy(1.0, 0.1, LongMemoryParams(0.8, 0.6))
+        with pytest.raises(IllPosedError, match=f"on 1 required .*m={signed}, column 5$"):
+            estimate(np.ones((N, N)), kernel, policy, LevelSelection(4, 4, 4.0, 4.0))
+
     def test_beta_tilde_reports_dead_level(self):
         N = 64
         kernel = self.notch_kernel(N, 20)
@@ -407,6 +421,47 @@ class TestDivisionRoutes:
         divided = np.fft.ifft2(np.fft.fft2(Y) / g_t[:, None]).real
         expected = inverse_2d(forward_2d(divided, J1=4, J2=4), N).real
         assert np.max(np.abs(est.values - expected)) < 1e-10
+
+
+class TestFusedPath:
+    @pytest.mark.parametrize("N", [16, 64, 256, 1024])
+    @pytest.mark.parametrize("m0", [1, 3])
+    def test_divided_rows_are_the_window_support(self, N, m0):
+        # The division fills two contiguous slices of rows; they must be
+        # exactly the rows where some kept window is non-zero.
+        Y = np.random.default_rng(N).standard_normal((N, N))
+        filt = meyer_filter(N, m0)
+        for J1 in filt.levels:
+            needed = np.zeros(N, dtype=bool)
+            for j in filt.levels_up_to(J1):
+                needed |= np.abs(filt.window(j)) > 0
+            D = _deconvolved_rows(Y, np.ones((N, N)), filt, J1)
+            assert np.array_equal(np.any(D != 0, axis=1), needed), J1
+
+    @pytest.mark.parametrize("kernel_name", ["grid", "circular", "power"])
+    @pytest.mark.parametrize("levels", [(3, 4), (5, 2), (6, 6), None])
+    def test_coefficients_match_an_independent_division(self, kernel_name, levels):
+        N = 128
+        if kernel_name == "power":
+            kernel = make_power_kernel(N, 0.7)
+        else:
+            kernel = make_kernel(N, periodization=kernel_name, unit_mass=True)
+        rng = np.random.default_rng(31)
+        f = make_target("doppler", N).values
+        Y = convolve_columns(f, kernel) + 0.05 * rng.standard_normal((N, N))
+        policy = ThresholdPolicy(DEFAULT_GAMMA, 0.01, LongMemoryParams(0.8, 0.6))
+        selection = None if levels is None else LevelSelection(*levels, *map(float, levels))
+        coeffs = estimate_coefficients(Y, kernel, policy, selection)
+        _, from_estimate = estimate(Y, kernel, policy, selection)
+        assert np.array_equal(coeffs.values, from_estimate.values)
+
+        divided = np.fft.ifft(np.fft.fft(Y, axis=0) / kernel.fourier_t, axis=0).real
+        expected = forward_2d(divided, J1=coeffs.J1, J2=coeffs.J2)
+        for j1, j2, block in expected.blocks():
+            if (j1, j2) != (2, 2):
+                block[np.abs(block) <= threshold_lambda(policy, j1, j2)] = 0.0
+        assert np.max(np.abs(coeffs.values - expected.values)) <= 1e-12
+        assert np.array_equal(coeffs.values != 0, expected.values != 0)
 
 
 class TestRiskMetrics:

@@ -167,6 +167,86 @@ class TestRoundTrip:
         assert np.max(np.abs(back)) < 1e-12
 
 
+def full_fold_analysis(spectra, filt, J):
+    """Axis-0 analysis that folds every one of the N rows, for comparison."""
+    N = filt.size
+    pieces = []
+    for j in filt.levels_up_to(J):
+        L = filt.block_length(j)
+        z = np.conj(filt.window(j))[:, None] * spectra
+        folded = z.reshape(N // L, L, -1).sum(axis=0)
+        pieces.append(np.sqrt(L) * np.fft.ifft(folded, axis=0))
+    return np.concatenate(pieces, axis=0)
+
+
+def full_tile_synthesis(coeffs, filt, J):
+    """Adjoint of ``full_fold_analysis``: every block tiled over all N rows."""
+    N = filt.size
+    spectra = np.zeros((N, coeffs.shape[1]), dtype=np.complex128)
+    for j in filt.levels_up_to(J):
+        L = filt.block_length(j)
+        shifted = np.fft.fft(coeffs[meyer.level_slice(j, filt.m0)], axis=0) / np.sqrt(L)
+        spectra += filt.window(j)[:, None] * np.tile(shifted, (N // L, 1))
+    return np.fft.ifft(spectra * N, axis=0)
+
+
+class TestBandLimitedFolds:
+    @pytest.mark.parametrize("N", [16, 64, 256])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_truncated_forward_is_the_leading_block_bit_for_bit(self, N, kind):
+        rng = np.random.default_rng(N)
+        x = rng.standard_normal((N, N))
+        if kind == "complex":
+            x = x + 1j * rng.standard_normal((N, N))
+        full = meyer.forward_2d(x).values
+        top = N.bit_length() - 2
+        for J1, J2 in [(2, 2), (3, top), (top, 2), (top - 1, top - 1), (top, top)]:
+            part = meyer.forward_2d(x, J1=J1, J2=J2).values
+            assert np.array_equal(part, full[: 2 ** (J1 + 1), : 2 ** (J2 + 1)]), (J1, J2)
+
+    @pytest.mark.parametrize("N, m0", [(4, 1), (16, 2), (128, 1), (128, 3), (1024, 3)])
+    def test_support_folds_equal_the_folds_over_every_row(self, N, m0):
+        rng = np.random.default_rng(7)
+        spectra = rng.standard_normal((N, 8)) + 1j * rng.standard_normal((N, 8))
+        filt = meyer.meyer_filter(N, m0)
+        for J in filt.levels:
+            assert np.array_equal(
+                meyer._analyze(spectra, filt, J), full_fold_analysis(spectra, filt, J)
+            ), J
+            coeffs = rng.standard_normal((2 ** (J + 1), 8)) + 0j
+            assert np.array_equal(
+                meyer._synthesize(coeffs, filt, J), full_tile_synthesis(coeffs, filt, J)
+            ), J
+
+    @pytest.mark.parametrize("N, m0", [(4, 1), (64, 2), (4096, 3)])
+    def test_support_runs_cover_the_window_and_fold_at_most_twice(self, N, m0):
+        filt = meyer.meyer_filter(N, m0)
+        for j in filt.levels:
+            L = filt.block_length(j)
+            rows = np.concatenate([np.arange(a, b) for a, b in filt.support_runs(j)])
+            assert np.array_equal(rows, np.flatnonzero(np.abs(filt.window(j)) > 0)), j
+            assert all(b - a <= L and a // L == (b - 1) // L for a, b in filt.support_runs(j))
+            assert np.bincount(rows % L).max() <= 2, j
+
+    def test_rows_outside_the_band_are_never_read(self):
+        N, J1, J2 = 128, 4, 3
+        rng = np.random.default_rng(8)
+        spectrum = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+        clean = meyer.analyze_spectrum(spectrum, J1, J2).values
+        m = np.fft.fftfreq(N, 1.0 / N)
+        spectrum[(m < -(2 ** (J1 + 1))) | (m >= 2 ** (J1 + 1))] = np.nan
+        assert np.array_equal(meyer.analyze_spectrum(spectrum, J1, J2).values, clean)
+
+    def test_real_spectrum_path_matches_the_complex_one(self):
+        N = 64
+        x = RNG.standard_normal((N, N))
+        real = meyer.forward_2d(x, J1=4, J2=3)
+        cplx = meyer.forward_2d(x + 0j, J1=4, J2=3)
+        assert not np.iscomplexobj(real.values)
+        assert np.max(np.abs(real.values - cplx.values)) < 1e-14
+        assert np.max(np.abs(cplx.values.imag)) < 1e-14
+
+
 class TestProjection:
     def test_truncated_forward_matches_slice(self):
         N = 128
