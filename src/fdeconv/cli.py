@@ -64,7 +64,7 @@ from .model import (
 )
 from .rates import RateQuery, classify, rate_curve, write_rate_curve
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 SIGNALS = ("lidar", "doppler")
 KERNELS = ("power", "grid", "circular")
@@ -344,8 +344,52 @@ def _resolve_levels(cfg: ExperimentConfig, epsilon: float, alpha) -> LevelSelect
     return LevelSelection(j1, j2, j1_raw, j2_raw, j1_capped, j2_capped)
 
 
+def _signal_key(cfg: ExperimentConfig) -> tuple:
+    """The configuration fields a :class:`_SignalSetup` depends on."""
+    return (cfg.signal, cfg.N, cfg.nu, cfg.kernel, cfg.kernel_unit_mass)
+
+
+class _SignalSetup:
+    """The N x N arrays that every cell of one signal shares.
+
+    The truth, the blur kernel and the blurred truth ``q = g * f`` depend on
+    the signal, the grid and the blur, but not on the SNR or the memory
+    pair, so a sweep builds them once per signal in each process. The
+    setup also memoizes what is built per cell: the :class:`_RunContext`
+    of each configuration, and the truth's kept coefficients for each pair
+    of levels, which cells at the same levels share.
+    """
+
+    def __init__(self, cfg: ExperimentConfig):
+        self.key = _signal_key(cfg)
+        self.truth = make_target(cfg.signal, cfg.N).values
+        self.kernel = _build_kernel(cfg)
+        self.q = convolve_columns(self.truth, self.kernel)
+        self._energy = float(np.mean(self.truth**2))
+        self._kept = {}
+        self._contexts = {}
+
+    def kept(self, j1: int, j2: int) -> tuple:
+        """The truth's coefficients up to ``(j1, j2)`` and its energy beyond them."""
+        if (j1, j2) not in self._kept:
+            kept = forward_2d(self.truth, j1, j2, m0=_M0)
+            self._kept[j1, j2] = (kept.values, max(self._energy - kept.energy(), 0.0))
+        return self._kept[j1, j2]
+
+    def context(self, cfg: ExperimentConfig) -> "_RunContext":
+        if cfg not in self._contexts:
+            self._contexts[cfg] = _RunContext(cfg, self)
+        return self._contexts[cfg]
+
+
 class _RunContext:
-    """Everything a single run needs, built once per process.
+    """The per-cell part of what a run needs; cheap next to the signal's set-up.
+
+    Per signal (:class:`_SignalSetup`): the truth, the kernel and ``q``.
+    Per cell (here): ``sigma``, ``epsilon``, the threshold policy, the
+    levels, the truth's kept coefficients and the tail energy. The context
+    holds no N x N array, so a finished cell's context can outlive its
+    signal's set-up.
 
     A run never forms its estimate on the grid. The Meyer basis is
     orthonormal, so by Parseval the run's Riemann squared error
@@ -362,13 +406,9 @@ class _RunContext:
     placeholder noise size to encode exactly that.
     """
 
-    def __init__(self, cfg: ExperimentConfig):
-        self.cfg = cfg
+    def __init__(self, cfg: ExperimentConfig, setup: _SignalSetup):
         self.alpha = LongMemoryParams(cfg.alpha1, cfg.alpha2)
-        truth = make_target(cfg.signal, cfg.N).values
-        self.kernel = _build_kernel(cfg)
-        self.q = convolve_columns(truth, self.kernel)
-        self.sigma = calibrate_sigma(self.q, cfg.snr_db)
+        self.sigma = calibrate_sigma(setup.q, cfg.snr_db)
         self.noiseless = self.sigma == 0.0
         if self.noiseless:
             self.epsilon = 0.0
@@ -381,57 +421,40 @@ class _RunContext:
                 gamma=cfg.gamma, epsilon=self.epsilon, alpha=self.alpha, nu=cfg.nu
             )
         self.levels = _resolve_levels(cfg, self.epsilon, self.alpha)
-        kept = forward_2d(truth, self.levels.j1, self.levels.j2, m0=_M0)
-        self.truth_coeffs = kept.values
-        self.tail = max(float(np.mean(truth**2)) - kept.energy(), 0.0)
+        self.truth_coeffs, self.tail = setup.kept(self.levels.j1, self.levels.j2)
 
 
-_CTX = None
+#: This process's current signal set-up; a sweep replaces it at each new signal.
+_SETUP = None
 
 
-def _worker_init(cfg: ExperimentConfig) -> None:
-    global _CTX
-    _CTX = _RunContext(cfg)
+def _setup(cfg: ExperimentConfig) -> _SignalSetup:
+    """This process's set-up for ``cfg``'s signal, built if the signal changed."""
+    global _SETUP
+    if _SETUP is None or _SETUP.key != _signal_key(cfg):
+        _SETUP = None  # free the previous signal's arrays before building the next
+        _SETUP = _SignalSetup(cfg)
+    return _SETUP
 
 
-def _run_one(run: int) -> float:
+def _run_one(cfg: ExperimentConfig, run: int) -> float:
     """Squared error of one run, scored in the coefficient domain."""
-    ctx = _CTX
+    setup = _setup(cfg)
+    ctx = setup.context(cfg)
     if ctx.noiseless:
-        Y = ctx.q
+        Y = setup.q
     else:
-        seq = np.random.SeedSequence([ctx.cfg.seed, run])
-        sheet = noise_sheet(ctx.alpha, ctx.cfg.N, seed=seq, construction=ctx.cfg.noise)
-        Y = observe(ctx.q, ctx.sigma, sheet)
-    coeffs = estimate_coefficients(Y, ctx.kernel, ctx.policy, ctx.levels, _M0)
+        seq = np.random.SeedSequence([cfg.seed, run])
+        sheet = noise_sheet(ctx.alpha, cfg.N, seed=seq, construction=cfg.noise)
+        Y = observe(setup.q, ctx.sigma, sheet)
+    coeffs = estimate_coefficients(Y, setup.kernel, ctx.policy, ctx.levels, _M0)
     return float(np.sum((coeffs.values - ctx.truth_coeffs) ** 2)) + ctx.tail
 
 
-def _simulate(cfg: ExperimentConfig, jobs: int = 1):
-    """Run the experiment and return ``(RiskReport, _RunContext)``.
-
-    Per-run seeds depend only on ``(cfg.seed, run)``, so the worker
-    count never changes the result.
-    """
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    ctx = _RunContext(cfg)
-    if jobs == 1:
-        global _CTX
-        previous = _CTX
-        _CTX = ctx
-        try:
-            errors = [_run_one(run) for run in range(cfg.runs)]
-        finally:
-            _CTX = previous
-    else:
-        with multiprocessing.Pool(
-            processes=jobs, initializer=_worker_init, initargs=(cfg,)
-        ) as pool:
-            errors = pool.map(_run_one, range(cfg.runs))
+def _risk_report(errors, ctx: _RunContext) -> RiskReport:
     arr = np.asarray(errors)
     se = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
-    report = RiskReport(
+    return RiskReport(
         mise=float(arr.mean()),
         se=se,
         per_run=tuple(errors),
@@ -439,7 +462,64 @@ def _simulate(cfg: ExperimentConfig, jobs: int = 1):
         j1=ctx.levels.j1,
         j2=ctx.levels.j2,
     )
-    return report, ctx
+
+
+def _sweep(cfgs, jobs: int = 1) -> list:
+    """Run the experiments ``cfgs`` in order; one result per experiment.
+
+    A result is ``(RiskReport, _RunContext)``, or the :class:`FdeconvError`
+    that stopped that experiment; the others still run. Runs go to
+    ``min(jobs, runs)`` workers; with one, they run in this process. Else
+    one process pool serves the whole sweep and every experiment's runs are
+    queued at once, so workers never wait for the next cell. The pool is
+    forked at the first experiment that needs it, so its workers start
+    with the parent's set-up of that signal, and each process builds every
+    later signal's set-up once. The sweep should be ordered by signal: a
+    process keeps one signal's set-up at a time.
+
+    Per-run seeds depend only on ``(cfg.seed, run)`` and every run goes
+    through :func:`_run_one`, so the worker count never changes a result.
+    """
+    global _SETUP
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    workers = min(jobs, max((cfg.runs for cfg in cfgs), default=1))
+    pool = None
+    pending, results = [], []
+    try:
+        for cfg in cfgs:
+            try:
+                ctx = _setup(cfg).context(cfg)
+                tasks = [(cfg, run) for run in range(cfg.runs)]
+                if workers == 1:
+                    errors = [_run_one(*task) for task in tasks]
+                else:
+                    if pool is None:
+                        pool = multiprocessing.Pool(processes=workers)
+                    errors = pool.starmap_async(_run_one, tasks)
+                pending.append((ctx, errors))
+            except FdeconvError as exc:
+                pending.append((None, exc))
+        for ctx, errors in pending:
+            if ctx is not None and not isinstance(errors, list):  # still an AsyncResult
+                try:
+                    errors = errors.get()
+                except FdeconvError as exc:
+                    ctx, errors = None, exc
+            results.append(errors if ctx is None else (_risk_report(errors, ctx), ctx))
+    finally:
+        if pool is not None:
+            pool.terminate()
+        _SETUP = None
+    return results
+
+
+def _simulate(cfg: ExperimentConfig, jobs: int = 1):
+    """Run one experiment, a sweep of one cell; return ``(RiskReport, _RunContext)``."""
+    (result,) = _sweep([cfg], jobs)
+    if isinstance(result, FdeconvError):
+        raise result
+    return result
 
 
 def _cleanup(paths) -> None:
@@ -528,6 +608,10 @@ def run_simulation(cfg: ExperimentConfig, jobs: int = 1) -> RiskReport:
                 ("noise", cfg.noise),
                 ("j1", ctx.levels.j1),
                 ("j2", ctx.levels.j2),
+                ("j1_raw", repr(ctx.levels.j1_raw)),
+                ("j1_capped", "true" if ctx.levels.j1_capped else "false"),
+                ("j2_raw", repr(ctx.levels.j2_raw)),
+                ("j2_capped", "true" if ctx.levels.j2_capped else "false"),
                 ("runs", cfg.runs),
                 ("mise", repr(report.mise)),
                 ("se", repr(report.se)),
@@ -554,10 +638,12 @@ def run_table(
     continues. Within each (signal, SNR) group the ``trend_ok`` column
     records whether the weakest-memory pair (largest alpha sum) has risk
     no larger than the strongest (smallest alpha sum); it is empty when
-    either endpoint failed. Writes ``config.txt`` and ``table.csv`` into
+    either endpoint failed. All cells run as one :func:`_sweep`, so one
+    process pool serves the whole grid and each signal's set-up is built
+    once per process. Writes ``config.txt`` and ``table.csv`` into
     ``cfg.outdir`` and returns the rows as dictionaries.
     """
-    rows = []
+    groups, runnable = [], []
     for signal in signals:
         for snr in snrs:
             group = []
@@ -581,22 +667,34 @@ def run_table(
                         alpha1=float(a1),
                         alpha2=float(a2),
                     )
-                    report, ctx = _simulate(cell_cfg, jobs)
                 except FdeconvError as exc:
                     cell["status"] = f"error: {type(exc).__name__}"
                 else:
-                    cell["mise"] = report.mise
-                    cell["se"] = report.se
-                    cell["j1"] = ctx.levels.j1
+                    runnable.append((cell, cell_cfg))
                 group.append(cell)
-            if group:
-                weakest = max(group, key=lambda c: c["alpha1"] + c["alpha2"])
-                strongest = min(group, key=lambda c: c["alpha1"] + c["alpha2"])
-                if weakest["mise"] is not None and strongest["mise"] is not None:
-                    flag = "true" if weakest["mise"] <= strongest["mise"] else "false"
-                    for cell in group:
-                        cell["trend_ok"] = flag
-            rows.extend(group)
+            groups.append(group)
+
+    results = _sweep([cell_cfg for _, cell_cfg in runnable], jobs)
+    for (cell, _), result in zip(runnable, results):
+        if isinstance(result, FdeconvError):
+            cell["status"] = f"error: {type(result).__name__}"
+        else:
+            report, ctx = result
+            cell["mise"] = report.mise
+            cell["se"] = report.se
+            cell["j1"] = ctx.levels.j1
+
+    rows = []
+    for group in groups:
+        rows.extend(group)
+        if not group:
+            continue
+        weakest = max(group, key=lambda c: c["alpha1"] + c["alpha2"])
+        strongest = min(group, key=lambda c: c["alpha1"] + c["alpha2"])
+        if weakest["mise"] is not None and strongest["mise"] is not None:
+            flag = "true" if weakest["mise"] <= strongest["mise"] else "false"
+            for cell in group:
+                cell["trend_ok"] = flag
 
     os.makedirs(cfg.outdir, exist_ok=True)
     written = []

@@ -208,6 +208,10 @@ def convolve_columns(field, kernel) -> np.ndarray:
     """Circular convolution along axis 0, column by column, with Riemann 1/N.
 
     ``q(t_i, x_l) = (1/N) sum_s field(t_s, x_l) kernel(t_{i-s mod N}, x_l)``.
+
+    Both factors are real, so the product is taken on the non-negative
+    frequencies of real FFTs. A :class:`BlurKernel` supplies its stored
+    ``fourier_t``; a raw sample array is transformed here.
     """
     f = np.asarray(field, dtype=float)
     g = kernel.samples if isinstance(kernel, BlurKernel) else np.asarray(kernel, dtype=float)
@@ -215,8 +219,12 @@ def convolve_columns(field, kernel) -> np.ndarray:
         raise ParameterError(
             f"field and kernel must be equal square arrays, got {f.shape} and {g.shape}"
         )
-    out = np.fft.ifft(np.fft.fft(f, axis=0) * np.fft.fft(g, axis=0), axis=0).real
-    return out / f.shape[0]
+    N = f.shape[0]
+    if isinstance(kernel, BlurKernel):
+        spectrum = kernel.fourier_t[: N // 2 + 1]
+    else:
+        spectrum = np.fft.rfft(g, axis=0, norm="forward")
+    return np.fft.irfft(np.fft.rfft(f, axis=0) * spectrum, n=N, axis=0)
 
 
 def calibrate_sigma(q, snr_db: float) -> float:

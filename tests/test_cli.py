@@ -2,7 +2,9 @@
 
 import argparse
 import math
+import multiprocessing
 import os
+import time
 
 import numpy as np
 import pytest
@@ -44,6 +46,19 @@ def fast_config(tmp_path, **overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def count_pools(monkeypatch) -> list:
+    """Record each process pool constructed from now on (one entry per pool)."""
+    pools = []
+    real_pool = multiprocessing.Pool
+
+    def counting_pool(*args, **kwargs):
+        pools.append(kwargs.get("processes", args[0] if args else None))
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
+    return pools
 
 
 def empty_args(**overrides):
@@ -233,12 +248,14 @@ class TestSimulate:
             line.split("=", 1)
             for line in open(os.path.join(cfg.outdir, "risk_report.txt")).read().splitlines()
         )
-        assert data["schema_version"] == "1"
+        assert data["schema_version"] == "2"
         assert data["signal"] == "lidar"
         assert int(data["n"]) == 64
         assert float(data["mise"]) == report.mise
         assert float(data["se"]) == report.se
         assert int(data["j1"]) == 3 and int(data["j2"]) == 3
+        assert float(data["j1_raw"]) == 3.0 and float(data["j2_raw"]) == 3.0
+        assert data["j1_capped"] == "false" and data["j2_capped"] == "false"
         kernel = make_power_kernel(64, cfg.nu)
         q = convolve_columns(make_target("lidar", 64).values, kernel)
         sigma = calibrate_sigma(q, cfg.snr_db)
@@ -304,6 +321,13 @@ class TestSimulate:
         with pytest.raises(ConfigError, match="jobs must be"):
             _simulate(fast_config(tmp_path), jobs=0)
 
+    def test_single_run_starts_no_pool(self, tmp_path, monkeypatch):
+        serial, _ = _simulate(fast_config(tmp_path, runs=1), jobs=1)
+        pools = count_pools(monkeypatch)
+        capped, _ = _simulate(fast_config(tmp_path, runs=1), jobs=4)
+        assert pools == []
+        assert capped == serial
+
     def test_failed_write_cleans_up_partial_outputs(self, tmp_path, monkeypatch):
         import fdeconv.cli as cli
 
@@ -346,25 +370,26 @@ class TestParsevalScore:
         from fdeconv.model import observe
 
         cfg = fast_config(tmp_path, N=N, **overrides)
-        ctx = cli._RunContext(cfg)
-        monkeypatch.setattr(cli, "_CTX", ctx)
+        monkeypatch.setattr(cli, "_SETUP", None)
+        setup = cli._setup(cfg)
+        ctx = setup.context(cfg)
         truth = make_target(cfg.signal, N).values
         for run in range(2):
             if ctx.noiseless:
-                Y = ctx.q
+                Y = setup.q
             else:
                 seq = np.random.SeedSequence([cfg.seed, run])
                 sheet = noise_sheet(ctx.alpha, N, seed=seq, construction=cfg.noise)
-                Y = observe(ctx.q, ctx.sigma, sheet)
-            est, _ = estimate(Y, ctx.kernel, ctx.policy, ctx.levels)
+                Y = observe(setup.q, ctx.sigma, sheet)
+            est, _ = estimate(Y, setup.kernel, ctx.policy, ctx.levels)
             spatial = float(np.mean((est.values - truth) ** 2))
-            assert cli._run_one(run) == pytest.approx(spatial, rel=1e-12, abs=0.0)
+            assert cli._run_one(cfg, run) == pytest.approx(spatial, rel=1e-12, abs=0.0)
 
     def test_context_keeps_only_the_kept_truth_coefficients(self, tmp_path):
         import fdeconv.cli as cli
 
         cfg = fast_config(tmp_path, N=256, j1="4", j2="5")
-        ctx = cli._RunContext(cfg)
+        ctx = cli._SignalSetup(cfg).context(cfg)
         truth = make_target(cfg.signal, 256).values
         full = forward_2d(truth).values
         assert ctx.truth_coeffs.shape == (32, 64)
@@ -420,6 +445,74 @@ class TestTable:
         run_table(cfg, signals=())
         echo = ExperimentConfig.from_file(os.path.join(cfg.outdir, "config.txt"))
         assert echo == cfg
+
+    def test_worker_count_never_changes_the_table(self, tmp_path, monkeypatch):
+        # Four workers on a 2-core machine. The 15 dB cells have no preset
+        # levels and are marked failed; the 20 dB cells run in the pool.
+        pools = count_pools(monkeypatch)
+        tables = []
+        start = time.perf_counter()
+        for jobs in (1, 4):
+            cfg = fast_config(tmp_path, j1="preset", runs=4, outdir=str(tmp_path / f"j{jobs}"))
+            rows = run_table(cfg, jobs=jobs, snrs=(20.0, 15.0))
+            assert {r["status"] for r in rows if r["snr_db"] == 15.0} == {"error: ConfigError"}
+            assert {r["status"] for r in rows if r["snr_db"] == 20.0} == {"ok"}
+            tables.append(open(os.path.join(cfg.outdir, "table.csv"), "rb").read())
+        assert time.perf_counter() - start < 60.0
+        assert pools == [4]
+        assert tables[0] == tables[1]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_run_failure_marks_only_its_cells(self, tmp_path, monkeypatch, jobs):
+        import fdeconv.cli as cli
+
+        real_estimate = cli.estimate_coefficients
+
+        def fail_on_doppler(Y, kernel, policy, levels, m0):
+            if cli._SETUP.key[0] == "doppler":
+                raise IllPosedError("kernel transform vanishes on a kept band")
+            return real_estimate(Y, kernel, policy, levels, m0)
+
+        monkeypatch.setattr(cli, "estimate_coefficients", fail_on_doppler)
+        pools = count_pools(monkeypatch)
+        cfg = fast_config(tmp_path, runs=2)
+        rows = run_table(cfg, jobs=jobs, snrs=(20.0,), pairs=((0.8, 0.6), (0.4, 0.2)))
+        assert len(pools) == (jobs > 1)
+        status = {(r["signal"], r["alpha1"]): r["status"] for r in rows}
+        assert status == {
+            ("lidar", 0.8): "ok",
+            ("lidar", 0.4): "ok",
+            ("doppler", 0.8): "error: IllPosedError",
+            ("doppler", 0.4): "error: IllPosedError",
+        }
+
+
+class TestSharedSetup:
+    """A sweep builds each signal's set-up once per process and starts one pool."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_pool_and_one_setup_per_signal(self, tmp_path, monkeypatch, jobs):
+        import fdeconv.cli as cli
+
+        calls = {"kernel": 0, "convolve": 0}
+        real_kernel, real_convolve = cli.make_power_kernel, cli.convolve_columns
+
+        def counting_kernel(*args, **kwargs):
+            calls["kernel"] += 1
+            return real_kernel(*args, **kwargs)
+
+        def counting_convolve(*args, **kwargs):
+            calls["convolve"] += 1
+            return real_convolve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "make_power_kernel", counting_kernel)
+        monkeypatch.setattr(cli, "convolve_columns", counting_convolve)
+        pools = count_pools(monkeypatch)
+        rows = run_table(fast_config(tmp_path, N=16, runs=2), jobs=jobs)
+        assert len(rows) == 36 and all(r["status"] == "ok" for r in rows)
+        assert len(pools) == (0 if jobs == 1 else 1)
+        assert calls == {"kernel": 2, "convolve": 2}
+        assert cli._SETUP is None
 
 
 class TestRatesCommand:

@@ -223,6 +223,22 @@ class TestConvolution:
         with pytest.raises(ParameterError):
             convolve_columns(np.ones((8, 8)), np.ones((16, 16)))
 
+    @pytest.mark.parametrize("N", [64, 1024])
+    @pytest.mark.parametrize("kind", ["power", "grid", "circular"])
+    def test_real_ffts_match_complex_reference(self, N, kind):
+        """Real FFTs and the stored ``fourier_t`` give the complex-FFT product."""
+        if kind == "power":
+            k = make_power_kernel(N, 0.5)
+        else:
+            k = make_kernel(N, periodization=kind, unit_mass=True)
+        f = make_target("doppler", N).values
+        reference = np.fft.ifft(np.fft.fft(f, axis=0) * np.fft.fft(k.samples, axis=0), axis=0)
+        reference = reference.real / N
+        for kernel in (k, k.samples):
+            out = convolve_columns(f, kernel)
+            gap = np.linalg.norm(out - reference) / np.linalg.norm(reference)
+            assert gap <= 1e-12
+
 
 class TestCalibration:
     def test_twenty_db_of_unit_norm(self):
