@@ -39,6 +39,7 @@ from .estimator import (
     finest_levels,
     lp_risk,
     mise,
+    resolve_levels,
     threshold_lambda,
     validate_field,
 )
@@ -134,6 +135,7 @@ __all__ = [
     "noise_sheet",
     "observe",
     "rate_curve",
+    "resolve_levels",
     "run_rates",
     "run_simulation",
     "run_table",

@@ -32,24 +32,27 @@ which makes results independent of the worker count.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import math
 import multiprocessing
 import os
+import shutil
 import sys
+import tempfile
+import warnings
 
 import numpy as np
 
 from .errors import ConfigError, FdeconvError
 from .estimator import (
     DEFAULT_GAMMA,
-    LevelSelection,
     RiskReport,
     ThresholdPolicy,
     epsilon_from_sigma,
     estimate_coefficients,
-    finest_levels,
+    resolve_levels,
 )
 from .lrdnoise import _CONSTRUCTIONS as NOISE_CONSTRUCTIONS
 from .lrdnoise import LongMemoryParams, noise_sheet
@@ -112,30 +115,23 @@ def _parse_bool(name: str, text: str) -> bool:
     raise ConfigError(f"{name} must be 'true' or 'false', got {text!r}")
 
 
-def _check_level_range(label: str, j: int, N: int) -> None:
-    top = N.bit_length() - 2
-    if not _LEVEL_FLOOR <= j <= top:
-        raise ConfigError(
-            f"{label}={j} outside the level range [{_LEVEL_FLOOR}, {top}] supported by N={N}"
-        )
-
-
-def _validate_level_mode(label: str, text: str, N: int, snr_db: float) -> None:
+def _level_arg(label: str, text: str, snr_db: float) -> int | None:
+    """A level mode as :func:`resolve_levels` takes it: ``None`` for auto, else the level."""
     if text == "auto":
-        return
+        return None
     if text == "preset":
-        if float(snr_db) not in PRESET_J1:
+        table = PRESET_J1 if label == "j1" else PRESET_J2
+        if float(snr_db) not in table:
             raise ConfigError(
-                f"{label}=preset needs snr_db in {sorted(PRESET_J1)}, got {snr_db}"
+                f"{label}=preset needs snr_db in {sorted(table)}, got {snr_db}"
             )
-        return
+        return table[float(snr_db)]
     try:
-        j = int(text)
+        return int(text)
     except ValueError:
         raise ConfigError(
             f"{label} must be 'auto', 'preset', or an integer level, got {text!r}"
         ) from None
-    _check_level_range(label, j, N)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -211,14 +207,26 @@ class ExperimentConfig:
             raise ConfigError(f"outdir must be a non-empty path, got {self.outdir!r}")
         for label in ("j1", "j2"):
             text = getattr(self, label)
-            if isinstance(text, bool):
-                raise ConfigError(f"{label} must be a string or integer, got {text!r}")
-            if isinstance(text, int):
+            if isinstance(text, int) and not isinstance(text, bool):
                 text = str(text)
                 object.__setattr__(self, label, text)
             if not isinstance(text, str):
                 raise ConfigError(f"{label} must be a string or integer, got {text!r}")
-            _validate_level_mode(label, text, self.N, self.snr_db)
+            j, top = _level_arg(label, text, self.snr_db), self.N.bit_length() - 2
+            if j is not None and not _LEVEL_FLOOR <= j <= top:
+                raise ConfigError(
+                    f"{label}={j} outside the level range [{_LEVEL_FLOOR}, {top}] "
+                    f"supported by N={self.N}"
+                )
+            if j is None and math.isinf(self.snr_db):
+                raise ConfigError(
+                    f"{label}=auto: automatic level selection needs a noise size "
+                    "0 < epsilon < 1, and snr_db = inf has none; use fixed j1/j2"
+                )
+
+    def level_args(self) -> tuple:
+        """``(j1, j2)`` as :func:`resolve_levels` takes them: ``None`` for auto."""
+        return tuple(_level_arg(name, getattr(self, name), self.snr_db) for name in ("j1", "j2"))
 
     def to_mapping(self) -> dict:
         """Serialize to an ordered str -> str mapping, losslessly."""
@@ -279,6 +287,13 @@ def _write_kv(path, pairs) -> None:
             fh.write(f"{key}={value}\n")
 
 
+def _write_csv(path: str, header, rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _read_kv_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -303,45 +318,6 @@ def _build_kernel(cfg: ExperimentConfig):
     return make_kernel(
         cfg.N, cfg.nu, periodization=cfg.kernel, unit_mass=cfg.kernel_unit_mass
     )
-
-
-def _resolve_levels(cfg: ExperimentConfig, epsilon: float, alpha) -> LevelSelection:
-    """Turn the configured j modes into a concrete level selection."""
-    auto = None
-    if "auto" in (cfg.j1, cfg.j2):
-        if not 0.0 < epsilon < 1.0:
-            raise ConfigError(
-                "automatic level selection needs a noise size with 0 < epsilon < 1, "
-                f"got {epsilon}; use fixed j1/j2"
-            )
-        auto = finest_levels(epsilon, 1.0, alpha, cfg.nu, cfg.N)
-
-    def resolve(label, mode, auto_j, auto_raw, auto_capped):
-        if mode == "auto":
-            return auto_j, auto_raw, auto_capped
-        if mode == "preset":
-            table = PRESET_J1 if label == "j1" else PRESET_J2
-            j = table[float(cfg.snr_db)]
-            _check_level_range(label, j, cfg.N)
-            return j, float(j), False
-        j = int(mode)
-        return j, float(j), False
-
-    j1, j1_raw, j1_capped = resolve(
-        "j1",
-        cfg.j1,
-        auto.j1 if auto else 0,
-        auto.j1_raw if auto else 0.0,
-        auto.j1_capped if auto else False,
-    )
-    j2, j2_raw, j2_capped = resolve(
-        "j2",
-        cfg.j2,
-        auto.j2 if auto else 0,
-        auto.j2_raw if auto else 0.0,
-        auto.j2_capped if auto else False,
-    )
-    return LevelSelection(j1, j2, j1_raw, j2_raw, j1_capped, j2_capped)
 
 
 def _signal_key(cfg: ExperimentConfig) -> tuple:
@@ -420,7 +396,7 @@ class _RunContext:
             self.policy = ThresholdPolicy(
                 gamma=cfg.gamma, epsilon=self.epsilon, alpha=self.alpha, nu=cfg.nu
             )
-        self.levels = _resolve_levels(cfg, self.epsilon, self.alpha)
+        self.levels = resolve_levels(self.epsilon, self.alpha, cfg.nu, cfg.N, *cfg.level_args())
         self.truth_coeffs, self.tail = setup.kept(self.levels.j1, self.levels.j2)
 
 
@@ -449,19 +425,6 @@ def _run_one(cfg: ExperimentConfig, run: int) -> float:
         Y = observe(setup.q, ctx.sigma, sheet)
     coeffs = estimate_coefficients(Y, setup.kernel, ctx.policy, ctx.levels, _M0)
     return float(np.sum((coeffs.values - ctx.truth_coeffs) ** 2)) + ctx.tail
-
-
-def _risk_report(errors, ctx: _RunContext) -> RiskReport:
-    arr = np.asarray(errors)
-    se = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
-    return RiskReport(
-        mise=float(arr.mean()),
-        se=se,
-        per_run=tuple(errors),
-        runs=len(errors),
-        j1=ctx.levels.j1,
-        j2=ctx.levels.j2,
-    )
 
 
 def _sweep(cfgs, jobs: int = 1) -> list:
@@ -500,13 +463,15 @@ def _sweep(cfgs, jobs: int = 1) -> list:
                 pending.append((ctx, errors))
             except FdeconvError as exc:
                 pending.append((None, exc))
-        for ctx, errors in pending:
-            if ctx is not None and not isinstance(errors, list):  # still an AsyncResult
+        for ctx, outcome in pending:
+            if ctx is not None and not isinstance(outcome, list):  # still an AsyncResult
                 try:
-                    errors = errors.get()
+                    outcome = outcome.get()
                 except FdeconvError as exc:
-                    ctx, errors = None, exc
-            results.append(errors if ctx is None else (_risk_report(errors, ctx), ctx))
+                    ctx, outcome = None, exc
+            if ctx is not None:
+                outcome = RiskReport.from_errors(outcome, ctx.levels.j1, ctx.levels.j2), ctx
+            results.append(outcome)
     finally:
         if pool is not None:
             pool.terminate()
@@ -522,12 +487,24 @@ def _simulate(cfg: ExperimentConfig, jobs: int = 1):
     return result
 
 
-def _cleanup(paths) -> None:
-    for path in paths:
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
+@contextlib.contextmanager
+def _staged(outdir: str):
+    """Yield a staging directory; on success move each file in it into ``outdir``.
+
+    The staging directory is made inside ``outdir``, so every move is a
+    rename on one file system: ``outdir`` only ever gains complete files,
+    and a write that fails or is interrupted leaves the files of an earlier
+    run as they were. The staging directory is removed on every exit Python
+    sees; a process killed outright leaves it behind, never a partial file.
+    """
+    os.makedirs(outdir, exist_ok=True)
+    stage = tempfile.mkdtemp(prefix=".staging-", dir=outdir)
+    try:
+        yield stage
+        for name in sorted(os.listdir(stage)):
+            os.replace(os.path.join(stage, name), os.path.join(outdir, name))
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
 
 def run_simulation(cfg: ExperimentConfig, jobs: int = 1) -> RiskReport:
@@ -535,45 +512,35 @@ def run_simulation(cfg: ExperimentConfig, jobs: int = 1) -> RiskReport:
 
     Files: ``config.txt`` (exact configuration echo), ``per_run_errors.csv``
     (run, error), ``summary.csv`` (one row), ``risk_report.txt`` (flat
-    key=value report). Everything is computed before anything is written;
-    partially written files are removed if a write fails.
+    key=value report). Everything is computed before anything is written,
+    and the files only replace an earlier run's once all of them are written
+    (:func:`_staged`).
     """
     report, ctx = _simulate(cfg, jobs)
-    os.makedirs(cfg.outdir, exist_ok=True)
-    written = []
-    try:
-        path = os.path.join(cfg.outdir, "config.txt")
-        written.append(path)
-        cfg.to_file(path)
+    with _staged(cfg.outdir) as stage:
+        cfg.to_file(os.path.join(stage, "config.txt"))
 
-        path = os.path.join(cfg.outdir, "per_run_errors.csv")
-        written.append(path)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["run", "error"])
-            for run, error in enumerate(report.per_run):
-                writer.writerow([run, repr(error)])
-
-        path = os.path.join(cfg.outdir, "summary.csv")
-        written.append(path)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                [
-                    "signal",
-                    "snr_db",
-                    "sigma",
-                    "alpha1",
-                    "alpha2",
-                    "gamma",
-                    "j1",
-                    "j2",
-                    "runs",
-                    "mise",
-                    "se",
-                ]
-            )
-            writer.writerow(
+        _write_csv(
+            os.path.join(stage, "per_run_errors.csv"),
+            ["run", "error"],
+            ([run, repr(error)] for run, error in enumerate(report.per_run)),
+        )
+        _write_csv(
+            os.path.join(stage, "summary.csv"),
+            [
+                "signal",
+                "snr_db",
+                "sigma",
+                "alpha1",
+                "alpha2",
+                "gamma",
+                "j1",
+                "j2",
+                "runs",
+                "mise",
+                "se",
+            ],
+            [
                 [
                     cfg.signal,
                     repr(cfg.snr_db),
@@ -587,12 +554,10 @@ def run_simulation(cfg: ExperimentConfig, jobs: int = 1) -> RiskReport:
                     repr(report.mise),
                     repr(report.se),
                 ]
-            )
-
-        path = os.path.join(cfg.outdir, "risk_report.txt")
-        written.append(path)
+            ],
+        )
         _write_kv(
-            path,
+            os.path.join(stage, "risk_report.txt"),
             [
                 ("schema_version", SCHEMA_VERSION),
                 ("signal", cfg.signal),
@@ -617,9 +582,6 @@ def run_simulation(cfg: ExperimentConfig, jobs: int = 1) -> RiskReport:
                 ("se", repr(report.se)),
             ],
         )
-    except BaseException:
-        _cleanup(written)
-        raise
     return report
 
 
@@ -696,47 +658,37 @@ def run_table(
             for cell in group:
                 cell["trend_ok"] = flag
 
-    os.makedirs(cfg.outdir, exist_ok=True)
-    written = []
-    try:
-        path = os.path.join(cfg.outdir, "config.txt")
-        written.append(path)
-        cfg.to_file(path)
+    with _staged(cfg.outdir) as stage:
+        cfg.to_file(os.path.join(stage, "config.txt"))
 
-        path = os.path.join(cfg.outdir, "table.csv")
-        written.append(path)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
+        _write_csv(
+            os.path.join(stage, "table.csv"),
+            [
+                "signal",
+                "snr_db",
+                "alpha1",
+                "alpha2",
+                "mise",
+                "se",
+                "j1",
+                "trend_ok",
+                "status",
+            ],
+            (
                 [
-                    "signal",
-                    "snr_db",
-                    "alpha1",
-                    "alpha2",
-                    "mise",
-                    "se",
-                    "j1",
-                    "trend_ok",
-                    "status",
+                    cell["signal"],
+                    repr(cell["snr_db"]),
+                    repr(cell["alpha1"]),
+                    repr(cell["alpha2"]),
+                    "" if cell["mise"] is None else repr(cell["mise"]),
+                    "" if cell["se"] is None else repr(cell["se"]),
+                    "" if cell["j1"] is None else cell["j1"],
+                    cell["trend_ok"],
+                    cell["status"],
                 ]
-            )
-            for cell in rows:
-                writer.writerow(
-                    [
-                        cell["signal"],
-                        repr(cell["snr_db"]),
-                        repr(cell["alpha1"]),
-                        repr(cell["alpha2"]),
-                        "" if cell["mise"] is None else repr(cell["mise"]),
-                        "" if cell["se"] is None else repr(cell["se"]),
-                        "" if cell["j1"] is None else cell["j1"],
-                        cell["trend_ok"],
-                        cell["status"],
-                    ]
-                )
-    except BaseException:
-        _cleanup(written)
-        raise
+                for cell in rows
+            ),
+        )
     return rows
 
 
@@ -790,7 +742,7 @@ def _load_empirical(dirs) -> list:
     return points
 
 
-def _compare_empirical(query: RateQuery, result, dirs, outdir: str, written) -> None:
+def _compare_empirical(query: RateQuery, result, dirs, stage: str) -> None:
     if query.r != 2:
         raise ConfigError(
             f"empirical comparison needs a two-dimensional query, got r={query.r}"
@@ -818,20 +770,14 @@ def _compare_empirical(query: RateQuery, result, dirs, outdir: str, written) -> 
     tolerance = 0.2
     within = gap <= tolerance
 
-    path = os.path.join(outdir, "rates_empirical.csv")
-    written.append(path)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["n", "sigma", "epsilon", "mise"])
-        for pt in points:
-            writer.writerow(
-                [pt["n"], repr(pt["sigma"]), repr(pt["epsilon"]), repr(pt["mise"])]
-            )
+    _write_csv(
+        os.path.join(stage, "rates_empirical.csv"),
+        ["n", "sigma", "epsilon", "mise"],
+        ([pt["n"], repr(pt["sigma"]), repr(pt["epsilon"]), repr(pt["mise"])] for pt in points),
+    )
 
-    path = os.path.join(outdir, "rates_comparison.txt")
-    written.append(path)
     _write_kv(
-        path,
+        os.path.join(stage, "rates_comparison.txt"),
         [
             ("schema_version", SCHEMA_VERSION),
             ("points", len(points)),
@@ -862,13 +808,9 @@ def run_rates(
     """
     result = classify(query)
     points = rate_curve(query, epsilons)
-    os.makedirs(outdir, exist_ok=True)
-    written = []
-    try:
-        path = os.path.join(outdir, "rates_config.txt")
-        written.append(path)
+    with _staged(outdir) as stage:
         _write_kv(
-            path,
+            os.path.join(stage, "rates_config.txt"),
             [
                 ("schema_version", SCHEMA_VERSION),
                 ("s", ",".join(repr(v) for v in query.s)),
@@ -887,42 +829,46 @@ def run_rates(
             ],
         )
 
-        path = os.path.join(outdir, "rates_curve.csv")
-        written.append(path)
+        path = os.path.join(stage, "rates_curve.csv")
         with open(path, "w", encoding="utf-8", newline="") as fh:
             write_rate_curve(points, fh)
 
         if plot:
-            path = os.path.join(outdir, "rates_curve.png")
-            written.append(path)
-            _plot_curve(points, path)
+            _plot_curve(points, os.path.join(stage, "rates_curve.png"))
 
         if empirical_dirs:
-            _compare_empirical(query, result, empirical_dirs, outdir, written)
-    except BaseException:
-        _cleanup(written)
-        raise
+            _compare_empirical(query, result, empirical_dirs, stage)
     return result, points
 
 
-_FIELD_HEADER = ["t", "x", "value"]
-_COEFF_HEADER = ["j1", "k1", "j2", "k2", "real", "imag"]
+_FIELD_COLUMNS = (("t", float), ("x", float), ("value", float))
+_COEFF_COLUMNS = (
+    ("j1", int), ("k1", int), ("j2", int), ("k2", int), ("real", float), ("imag", float)
+)
 
 
-def _read_csv_rows(path: str, header) -> list:
+def _read_csv_table(path: str, columns, what: str) -> np.ndarray:
+    """The rows below a CSV's header as a structured array, one field per column."""
+    header = [name for name, _ in columns]
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row]
+            if next((row for row in csv.reader(fh) if row), None) != header:
+                raise ConfigError(f"{path} must start with the header {','.join(header)}")
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                try:
+                    return np.loadtxt(
+                        fh, delimiter=",", comments=None, dtype=list(columns), ndmin=1
+                    )
+                except ValueError as exc:
+                    raise ConfigError(f"{path}: bad {what} row: {exc}") from None
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
-    if not rows or rows[0] != header:
-        raise ConfigError(f"{path} must start with the header {','.join(header)}")
-    return rows[1:]
 
 
 def _read_field_csv(path: str) -> np.ndarray:
-    rows = _read_csv_rows(path, _FIELD_HEADER)
-    count = len(rows)
+    rows = _read_csv_table(path, _FIELD_COLUMNS, "field")
+    count = rows.size
     N = math.isqrt(count)
     if N * N != count or N < 2 ** (_M0 + 1) or N & (N - 1):
         raise ConfigError(
@@ -930,86 +876,79 @@ def _read_field_csv(path: str) -> np.ndarray:
             f"(the transform's coarsest scale m0 = {_M0} needs N >= 2^(m0+1)), "
             f"got {count} rows"
         )
-    grid = np.zeros((N, N))
-    seen = np.zeros((N, N), dtype=bool)
-    for row in rows:
-        try:
-            t, x, value = (float(cell) for cell in row)
-        except ValueError:
-            raise ConfigError(f"{path}: bad field row {row!r}") from None
-        i = int(round(t * N))
-        j = int(round(x * N))
-        if not (0 <= i < N and 0 <= j < N):
-            raise ConfigError(f"{path}: coordinates ({t}, {x}) fall outside the unit grid")
-        if seen[i, j]:
-            raise ConfigError(f"{path}: duplicate grid cell ({t}, {x})")
-        seen[i, j] = True
-        grid[i, j] = value
-    if not seen.all():
-        raise ConfigError(f"{path} does not cover the full {N}x{N} grid")
-    return grid
+    t, x = rows["t"], rows["x"]
+    i, j = np.rint(t * N), np.rint(x * N)
+    outside = ~((0 <= i) & (i < N) & (0 <= j) & (j < N))
+    if outside.any():
+        r = int(np.argmax(outside))
+        raise ConfigError(f"{path}: coordinates ({t[r]}, {x[r]}) fall outside the unit grid")
+    cell = i.astype(np.intp) * N + j.astype(np.intp)
+    first = np.unique(cell, return_index=True)[1]
+    if first.size < count:  # N*N distinct in-range cells are the whole grid
+        r = int(np.setdiff1d(np.arange(count), first)[0])
+        raise ConfigError(f"{path}: duplicate grid cell ({t[r]}, {x[r]})")
+    grid = np.empty(count)
+    grid[cell] = rows["value"]
+    return grid.reshape(N, N)
 
 
 def _write_field_csv(field: np.ndarray, path: str) -> None:
     N = field.shape[0]
+    coords = [repr(k / N) for k in range(N)]
+    values = np.asarray(field, dtype=float).tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_FIELD_HEADER)
-        for i in range(N):
-            for j in range(N):
-                writer.writerow([repr(i / N), repr(j / N), repr(float(field[i, j]))])
+        fh.write(",".join(name for name, _ in _FIELD_COLUMNS) + "\n")
+        fh.writelines(
+            f"{t},{x},{v!r}\n" for t, row in zip(coords, values) for x, v in zip(coords, row)
+        )
 
 
 def _transform_forward(input_path: str, output_path: str, j1, j2) -> None:
-    field = _read_field_csv(input_path)
-    N = field.shape[0]
-    top = N.bit_length() - 2
-    J1 = top if j1 is None else j1
-    J2 = top if j2 is None else j2
-    coeffs = forward_2d(field, J1=J1, J2=J2)
+    coeffs = forward_2d(_read_field_csv(input_path), J1=j1, J2=j2)
     with open(output_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_COEFF_HEADER)
+        fh.write(",".join(name for name, _ in _COEFF_COLUMNS) + "\n")
         for b1, b2, view in coeffs.blocks():
-            for k1 in range(view.shape[0]):
-                for k2 in range(view.shape[1]):
-                    value = view[k1, k2]
-                    writer.writerow(
-                        [b1, k1, b2, k2, repr(float(value.real)), repr(float(value.imag))]
-                    )
+            fh.writelines(
+                f"{b1},{k1},{b2},{k2},{re!r},{im!r}\n"
+                for k1, (res, ims) in enumerate(zip(view.real.tolist(), view.imag.tolist()))
+                for k2, (re, im) in enumerate(zip(res, ims))
+            )
+
+
+def _block_rows(b: np.ndarray, J: int) -> tuple:
+    """First packed row and row count of each block label, as ``level_slice`` packs them."""
+    size = 2 ** np.clip(b, _M0, max(J, _M0))
+    return np.where(b == _M0 - 1, 0, size), size
 
 
 def _transform_inverse(input_path: str, output_path: str, n) -> None:
-    rows = _read_csv_rows(input_path, _COEFF_HEADER)
-    if not rows:
+    rows = _read_csv_table(input_path, _COEFF_COLUMNS, "coefficient")
+    if not rows.size:
         raise ConfigError(f"{input_path} holds no coefficient rows")
-    parsed = []
-    for row in rows:
-        try:
-            b1, k1, b2, k2 = (int(cell) for cell in row[:4])
-            value = complex(float(row[4]), float(row[5]))
-        except (ValueError, IndexError):
-            raise ConfigError(f"{input_path}: bad coefficient row {row!r}") from None
-        parsed.append((b1, k1, b2, k2, value))
-    J1 = max(item[0] for item in parsed)
-    J2 = max(item[2] for item in parsed)
+    b1, k1, b2, k2 = (rows[name] for name in ("j1", "k1", "j2", "k2"))
+    J1, J2 = int(b1.max()), int(b2.max())
     N = n if n is not None else 2 ** (max(J1, J2) + 1)
     packed = np.zeros((2 ** (J1 + 1), 2 ** (J2 + 1)), dtype=complex)
     coeffs = WaveletCoeffs2D(values=packed, m0=_M0, J1=J1, J2=J2)
-    for b1, k1, b2, k2, value in parsed:
-        if b1 not in coeffs.levels1 or b2 not in coeffs.levels2:
+    known = np.isin(b1, coeffs.levels1) & np.isin(b2, coeffs.levels2)
+    start1, size1 = _block_rows(b1, J1)
+    start2, size2 = _block_rows(b2, J2)
+    inside = (0 <= k1) & (k1 < size1) & (0 <= k2) & (k2 < size2)
+    bad = ~(known & inside)
+    if bad.any():  # report the first offending row
+        r = int(np.argmax(bad))
+        if not known[r]:
             raise ConfigError(
-                f"{input_path}: no block ({b1}, {b2}) in levels {coeffs.levels1} x {coeffs.levels2}"
+                f"{input_path}: no block ({b1[r]}, {b2[r]}) in levels "
+                f"{coeffs.levels1} x {coeffs.levels2}"
             )
-        view = coeffs.block(b1, b2)
-        if not (0 <= k1 < view.shape[0] and 0 <= k2 < view.shape[1]):
-            raise ConfigError(
-                f"{input_path}: shift ({k1}, {k2}) outside block ({b1}, {b2}) "
-                f"of shape {view.shape}"
-            )
-        view[k1, k2] = value
-    field = inverse_2d(coeffs, N).real
-    _write_field_csv(field, output_path)
+        raise ConfigError(
+            f"{input_path}: shift ({k1[r]}, {k2[r]}) outside block ({b1[r]}, {b2[r]}) "
+            f"of shape {(int(size1[r]), int(size2[r]))}"
+        )
+    packed.real[start1 + k1, start2 + k2] = rows["real"]
+    packed.imag[start1 + k1, start2 + k2] = rows["imag"]
+    _write_field_csv(inverse_2d(coeffs, N).real, output_path)
 
 
 def run_transform(
@@ -1026,12 +965,15 @@ def run_transform(
     coordinates ``i/N``; the coefficient format is ``j1,k1,j2,k2,real,imag``
     with one row per stored coefficient. Missing coefficient rows are
     treated as zeros on the inverse path; ``n`` fixes the output grid
-    size (default ``2 ** (max level + 1)``).
+    size (default ``2 ** (max level + 1)``). The output is staged next to
+    its destination and moved into place once complete (:func:`_staged`).
     """
-    if inverse:
-        _transform_inverse(input_path, output_path, n)
-    else:
-        _transform_forward(input_path, output_path, j1, j2)
+    directory, name = os.path.split(output_path)
+    with _staged(directory or os.curdir) as stage:
+        if inverse:
+            _transform_inverse(input_path, os.path.join(stage, name), n)
+        else:
+            _transform_forward(input_path, os.path.join(stage, name), j1, j2)
 
 
 def _config_from_args(args) -> ExperimentConfig:
@@ -1051,7 +993,13 @@ def _config_from_args(args) -> ExperimentConfig:
         mapping["runs"] = str(args.runs)
     if args.out is not None:
         mapping["outdir"] = args.out
-    return ExperimentConfig.from_mapping(mapping)
+    try:
+        return ExperimentConfig.from_mapping(mapping)
+    except ConfigError:
+        # There is no configuration to echo; echo the one that was asked for.
+        asked = {**ExperimentConfig().to_mapping(), **mapping}
+        print("config: " + " ".join(f"{k}={v}" for k, v in asked.items()), file=sys.stderr)
+        raise
 
 
 def _parse_float_list(text: str, flag: str):

@@ -175,6 +175,38 @@ def finest_levels(
     )
 
 
+def resolve_levels(
+    epsilon: float,
+    alpha: LongMemoryParams,
+    nu: float,
+    N: int,
+    j1: int | None = None,
+    j2: int | None = None,
+    amplitude: float = 1.0,
+    m0: int = 3,
+) -> LevelSelection:
+    """The levels an estimate keeps: each ``None`` is automatic, each int fixed.
+
+    An automatic level is the component of :func:`finest_levels`, which is
+    consulted only when a level is automatic, so fixed levels need no valid
+    noise size. A fixed level must lie in ``[m0 - 1, log2(N) - 1]``; it is
+    its own raw value and is never capped.
+    """
+    auto = finest_levels(epsilon, amplitude, alpha, nu, N, m0) if None in (j1, j2) else None
+    hi = N.bit_length() - 2
+    for name, j in (("j1", j1), ("j2", j2)):
+        if j is not None and not m0 - 1 <= j <= hi:
+            raise ParameterError(f"{name} must lie in [{m0 - 1}, {hi}] for N={N}, got {j}")
+    return LevelSelection(
+        j1=auto.j1 if j1 is None else int(j1),
+        j2=auto.j2 if j2 is None else int(j2),
+        j1_raw=auto.j1_raw if j1 is None else float(j1),
+        j2_raw=auto.j2_raw if j2 is None else float(j2),
+        j1_capped=auto.j1_capped if j1 is None else False,
+        j2_capped=auto.j2_capped if j2 is None else False,
+    )
+
+
 def _kernel_fourier(kernel, N: int) -> np.ndarray:
     """Per-column t-direction kernel transform ``(1/N) fft``, shape (N, N)."""
     if isinstance(kernel, BlurKernel):
@@ -309,13 +341,30 @@ class RiskReport:
     j1: int | None = None
     j2: int | None = None
 
-    def as_dict(self) -> dict:
-        out = {"mise": self.mise, "se": self.se, "runs": self.runs}
-        if self.j1 is not None:
-            out["j1"] = self.j1
-        if self.j2 is not None:
-            out["j2"] = self.j2
-        return out
+    @classmethod
+    def from_errors(cls, per_run, j1: int | None = None, j2: int | None = None) -> "RiskReport":
+        """Summarize per-run squared errors: their mean and its standard error."""
+        arr = np.asarray(per_run, dtype=float)
+        if arr.size == 0:
+            raise ParameterError("need at least one estimate")
+        se = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
+        return cls(
+            mise=float(arr.mean()), se=se, per_run=tuple(per_run), runs=arr.size, j1=j1, j2=j2
+        )
+
+
+def _per_run_errors(truth, estimates, p: float) -> list:
+    """``mean(|est - truth|^p)`` for each estimate, a Riemann ``L^p`` error."""
+    t = truth.values if isinstance(truth, SampledField) else np.asarray(truth, float)
+    errors = []
+    for est in estimates:
+        e = est.values if isinstance(est, SampledField) else np.asarray(est, float)
+        if e.shape != t.shape:
+            raise ParameterError(f"estimate shape {e.shape} != truth shape {t.shape}")
+        errors.append(float(np.mean(np.abs(e - t) ** p)))
+    if not errors:
+        raise ParameterError("need at least one estimate")
+    return errors
 
 
 def mise(truth, estimates, j1: int | None = None, j2: int | None = None) -> RiskReport:
@@ -324,20 +373,7 @@ def mise(truth, estimates, j1: int | None = None, j2: int | None = None) -> Risk
     Each per-run error is the Riemann squared norm ``mean((est - truth)^2)``;
     ``se`` is the standard error of their mean.
     """
-    t = truth.values if isinstance(truth, SampledField) else np.asarray(truth, float)
-    per_run = []
-    for est in estimates:
-        e = est.values if isinstance(est, SampledField) else np.asarray(est, float)
-        if e.shape != t.shape:
-            raise ParameterError(f"estimate shape {e.shape} != truth shape {t.shape}")
-        per_run.append(float(np.mean((e - t) ** 2)))
-    if not per_run:
-        raise ParameterError("need at least one estimate")
-    arr = np.asarray(per_run)
-    se = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
-    return RiskReport(
-        mise=float(arr.mean()), se=se, per_run=tuple(per_run), runs=arr.size, j1=j1, j2=j2
-    )
+    return RiskReport.from_errors(_per_run_errors(truth, estimates, 2), j1, j2)
 
 
 def lp_risk(truth, estimates, p: float) -> float:
@@ -347,16 +383,7 @@ def lp_risk(truth, estimates, p: float) -> float:
     """
     if p <= 0:
         raise ParameterError(f"p must be positive, got {p}")
-    t = truth.values if isinstance(truth, SampledField) else np.asarray(truth, float)
-    errs = []
-    for est in estimates:
-        e = est.values if isinstance(est, SampledField) else np.asarray(est, float)
-        if e.shape != t.shape:
-            raise ParameterError(f"estimate shape {e.shape} != truth shape {t.shape}")
-        errs.append(float(np.mean(np.abs(e - t) ** p)))
-    if not errs:
-        raise ParameterError("need at least one estimate")
-    return float(np.mean(errs))
+    return float(np.mean(_per_run_errors(truth, estimates, p)))
 
 
 def besov_diagnostic(
@@ -478,28 +505,12 @@ class MeyerDeconvolver:
         else:
             raise ParameterError("either sigma or epsilon must be set")
         policy = ThresholdPolicy(gamma=self.gamma, epsilon=eps, alpha=memory, nu=self.nu)
-        auto = finest_levels(eps, self.amplitude, memory, self.nu, N, self.m0)
-        levels = LevelSelection(
-            j1=auto.j1 if self.j1 is None else self._check_level(self.j1, N, "j1"),
-            j2=auto.j2 if self.j2 is None else self._check_level(self.j2, N, "j2"),
-            j1_raw=auto.j1_raw if self.j1 is None else float(self.j1),
-            j2_raw=auto.j2_raw if self.j2 is None else float(self.j2),
-            j1_capped=auto.j1_capped if self.j1 is None else False,
-            j2_capped=auto.j2_capped if self.j2 is None else False,
-        )
+        levels = resolve_levels(eps, memory, self.nu, N, self.j1, self.j2, self.amplitude, self.m0)
         est, coeffs = estimate(values, self.kernel_, policy, levels, self.m0)
         self.levels_ = levels
         self.policy_ = policy
         self.coefficients_ = coeffs
         return est.values
-
-    def _check_level(self, j: int, N: int, name: str) -> int:
-        hi = N.bit_length() - 2
-        if not self.m0 - 1 <= j <= hi:
-            raise ParameterError(
-                f"{name} must lie in [{self.m0 - 1}, {hi}] for N={N}, got {j}"
-            )
-        return int(j)
 
     def fit_transform(self, kernel, Y) -> np.ndarray:
         return self.fit(kernel).transform(Y)

@@ -288,10 +288,6 @@ def _real_spectrum(half: np.ndarray, N: int, J: int) -> np.ndarray:
     return out
 
 
-def _as_2d_column(x: np.ndarray) -> np.ndarray:
-    return x[:, None]
-
-
 def _resolve_J(filt: MeyerFilter, J: int | None) -> int:
     J = filt.max_level if J is None else J
     filt.levels_up_to(J)  # validates J against N and m0
@@ -319,7 +315,7 @@ def forward_1d(signal, J: int | None = None, m0: int = 3) -> np.ndarray:
         raise ParameterError(f"expected a 1-d signal, got shape {x.shape}")
     filt = meyer_filter(x.size, m0)
     J = _resolve_J(filt, J)
-    spectra = _as_2d_column(np.fft.fft(x) / x.size)
+    spectra = (np.fft.fft(x) / x.size)[:, None]
     coeffs = _analyze(spectra, filt, J)[:, 0]
     return coeffs.real if not np.iscomplexobj(x) else coeffs
 
@@ -360,7 +356,6 @@ class WaveletCoeffs2D:
     m0: int
     J1: int
     J2: int
-    convention: str = "scaling-at-m0-minus-1"
 
     def __post_init__(self):
         expect = (2 ** (self.J1 + 1), 2 ** (self.J2 + 1))
@@ -399,10 +394,10 @@ class WaveletCoeffs2D:
                 f"truncation levels ({J1}, {J2}) must not exceed ({self.J1}, {self.J2})"
             )
         vals = self.values[: 2 ** (J1 + 1), : 2 ** (J2 + 1)].copy()
-        return WaveletCoeffs2D(vals, self.m0, J1, J2, self.convention)
+        return WaveletCoeffs2D(vals, self.m0, J1, J2)
 
     def copy(self) -> "WaveletCoeffs2D":
-        return WaveletCoeffs2D(self.values.copy(), self.m0, self.J1, self.J2, self.convention)
+        return WaveletCoeffs2D(self.values.copy(), self.m0, self.J1, self.J2)
 
     def energy(self) -> float:
         """Sum of squared moduli; equals the squared L2([0,1]^2) norm."""

@@ -18,8 +18,6 @@ import numpy as np
 from .errors import DegenerateInputError, ParameterError
 from .lrdnoise import NoiseSheet
 
-_PERIODIZATIONS = ("circular", "grid", "synthetic-power")
-
 #: Piecewise-constant pulse train used as the "range-gated return" test
 #: signal: (start, stop, height) on [0, 1). Two constraints shape it: the
 #: unit-norm signal needs mean ~0.6 (that fixes the blurred norm the SNR

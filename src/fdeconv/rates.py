@@ -24,8 +24,8 @@ rather than a silent extrapolation.
 For more than two dimensions the first coordinate keeps its special role
 (it carries the blur) and the remaining ones compete through the smallest
 ratio ``s_i / alpha_i``; ties among those ratios contribute extra log
-factors. With ``r = 2`` the general classifier agrees with the planar one
-exactly.
+factors. One classifier, :func:`classify`, covers every ``r``; at ``r = 2``
+the smallest ratio is ``s2 / alpha2`` and there are no ties to count.
 """
 
 from __future__ import annotations
@@ -124,16 +124,6 @@ class RateQuery:
         """``s_i + 1/2 - 1/pi`` per coordinate."""
         return tuple(si + 0.5 - 1.0 / self.pi for si in self.s)
 
-    @property
-    def s_prime(self) -> tuple[float, ...]:
-        """``s_i + 1/2 - 1/min(2, pi)`` per coordinate (carried, unused)."""
-        return tuple(si + 0.5 - 1.0 / self.pi_prime for si in self.s)
-
-    @property
-    def s_double_prime(self) -> tuple[float, ...]:
-        """``s_i + 1/p - 1/min(p, pi)`` per coordinate (carried, unused)."""
-        return tuple(si + 1.0 / self.p - 1.0 / self.p_prime for si in self.s)
-
     def tail_minimizer(self) -> tuple[float, float, int]:
         """Smallest ``s_i / alpha_i`` over ``i >= 2`` as ``(s, alpha, i)``.
 
@@ -177,86 +167,30 @@ class RateResult:
         return self.xi1 > 0 or self.xi2 > 0
 
 
-def _uncovered() -> RateResult:
-    return RateResult(
-        regime=REGIME_UNCOVERED,
-        exponent=math.nan,
-        log_exponent_lower=math.nan,
-        log_exponent_upper=math.nan,
-    )
+def classify(query: RateQuery) -> RateResult:
+    """Regime and rate exponent for a parameter point with ``r >= 2`` coordinates.
 
-
-def classify_2d(query: RateQuery) -> RateResult:
-    """Regime and rate exponent for a two-coordinate parameter point.
-
+    The first coordinate keeps the blur; the others enter through the
+    smallest ratio ``s_o / a_o`` over ``i >= 2`` (see
+    :meth:`RateQuery.tail_minimizer`), which is ``s2 / a2`` when ``r = 2``.
     The three covered regimes, checked in order:
 
-    - dense-x: ``s1 >= (s2 / a2)(2 nu + a1)``; the rate is driven by the
-      second coordinate, ``exponent = p s2 / (2 s2 + a2)``.
+    - dense-x: ``s1 >= (s_o / a_o)(2 nu + a1)``; the rate is driven by the
+      minimizing coordinate, ``exponent = p s_o / (2 s_o + a_o)``.
     - sparse: ``s1 <= (2 nu + a1)(p / 2)(1 / pi - 1 / p)``;
       ``exponent = p (s1 + 1/p - 1/pi) / (2 s1* + 2 nu + a1 - 1)``.
     - intermediate: strictly between the two cut-offs;
       ``exponent = p s1 / (2 s1 + 2 nu + a1)``.
 
     Both outer regimes additionally need the side condition
-    ``s2 / a2 >= (p / 2)(1 / p' - 1 / p)``; when it fails no closed form
+    ``s_o / a_o >= (p / 2)(1 / p' - 1 / p)``; when it fails no closed form
     applies and the result is the explicit uncovered marker. Equality in
     a branch condition sets the matching indicator, which the upper bound
-    spends as an extra power of ``|ln eps|``.
-    """
-    if query.r != 2:
-        raise ParameterError(f"classify_2d requires r = 2, got r = {query.r}")
-    s1, s2 = query.s
-    a1, a2 = query.alpha
-    p, pi = query.p, query.pi
-    decay = 2.0 * query.nu + a1
-    side = (p / 2.0) * (1.0 / query.p_prime - 1.0 / p)
-    dense_cut = (s2 / a2) * decay
-    sparse_cut = decay * (p / 2.0) * (1.0 / pi - 1.0 / p)
-
-    if s2 / a2 < side:
-        return _uncovered()
-    if s1 >= dense_cut:
-        xi1 = int(s1 == dense_cut)
-        exponent = p * s2 / (2.0 * s2 + a2)
-        return RateResult(
-            regime=REGIME_DENSE,
-            exponent=exponent,
-            log_exponent_lower=0.0,
-            log_exponent_upper=exponent + xi1,
-            xi1=xi1,
-        )
-    if s1 <= sparse_cut:
-        xi2 = int(s1 == sparse_cut) + int(s2 / a2 == side)
-        s1_star = s1 + 0.5 - 1.0 / pi
-        exponent = p * (s1 + 1.0 / p - 1.0 / pi) / (2.0 * s1_star + decay - 1.0)
-        return RateResult(
-            regime=REGIME_SPARSE,
-            exponent=exponent,
-            log_exponent_lower=0.0,
-            log_exponent_upper=exponent + xi2,
-            xi2=xi2,
-        )
-    exponent = p * s1 / (2.0 * s1 + decay)
-    return RateResult(
-        regime=REGIME_INTERMEDIATE,
-        exponent=exponent,
-        log_exponent_lower=0.0,
-        log_exponent_upper=exponent,
-    )
-
-
-def classify_rd(query: RateQuery) -> RateResult:
-    """Regime and rate exponent for any number of coordinates ``r >= 2``.
-
-    The first coordinate keeps the blur; the others enter through the
-    smallest ratio ``s_i / alpha_i``, whose coordinate plays the role the
-    second coordinate plays in :func:`classify_2d`. Additional exact ties
-    among the ratios each add one to the boundary count of the regime
-    that consumes it: dense counts ties with the minimizing ratio itself
-    excluded from its own sum, sparse counts every trailing coordinate
-    whose ratio sits exactly on the side cut-off. With ``r = 2`` both
-    sums degenerate and the result equals :func:`classify_2d` exactly.
+    spends as an extra power of ``|ln eps|``. Exact ties among the trailing
+    ratios add to the boundary count of the regime that consumes them:
+    dense counts the other coordinates whose ratio ties the minimizing one,
+    sparse counts every trailing coordinate whose ratio sits exactly on the
+    side cut-off. With ``r = 2`` the dense tie sum is empty.
     """
     s1 = query.s[0]
     a1 = query.alpha[0]
@@ -269,7 +203,12 @@ def classify_rd(query: RateQuery) -> RateResult:
     sparse_cut = decay * (p / 2.0) * (1.0 / pi - 1.0 / p)
 
     if s2o / a2o < side:
-        return _uncovered()
+        return RateResult(
+            regime=REGIME_UNCOVERED,
+            exponent=math.nan,
+            log_exponent_lower=math.nan,
+            log_exponent_upper=math.nan,
+        )
     if s1 >= dense_cut:
         xi1 = int(s1 == dense_cut) + sum(
             int(ratios[i] == s2o / a2o) for i in ratios if i != io
@@ -302,9 +241,15 @@ def classify_rd(query: RateQuery) -> RateResult:
     )
 
 
-def classify(query: RateQuery) -> RateResult:
-    """Dispatch on dimension: the planar path for ``r = 2``, else general."""
-    return classify_2d(query) if query.r == 2 else classify_rd(query)
+#: :func:`classify` under the name of its r-dimensional reading.
+classify_rd = classify
+
+
+def classify_2d(query: RateQuery) -> RateResult:
+    """:func:`classify` restricted to two-coordinate queries."""
+    if query.r != 2:
+        raise ParameterError(f"classify_2d requires r = 2, got r = {query.r}")
+    return classify(query)
 
 
 @dataclass(frozen=True)

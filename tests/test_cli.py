@@ -1,6 +1,7 @@
 """Tests for the command line workflows: config, simulate, table, rates, transform."""
 
 import argparse
+import csv
 import math
 import multiprocessing
 import os
@@ -22,12 +23,11 @@ from fdeconv.cli import (
     run_transform,
     _config_from_args,
     _read_field_csv,
-    _resolve_levels,
     _simulate,
     _write_field_csv,
 )
 from fdeconv.errors import ConfigError, IllPosedError
-from fdeconv.estimator import DEFAULT_GAMMA, epsilon_from_sigma, finest_levels
+from fdeconv.estimator import DEFAULT_GAMMA, epsilon_from_sigma, finest_levels, resolve_levels
 from fdeconv.lrdnoise import LongMemoryParams
 from fdeconv.meyer import forward_2d, inverse_2d
 from fdeconv.model import calibrate_sigma, convolve_columns, make_power_kernel, make_target
@@ -185,9 +185,15 @@ class TestConfigValidation:
 
 
 class TestLevelResolution:
+    """A configuration's level modes, resolved by the estimator's one resolver."""
+
+    @staticmethod
+    def resolve(cfg, epsilon, alpha):
+        return resolve_levels(epsilon, alpha, cfg.nu, cfg.N, *cfg.level_args())
+
     def test_fixed_levels_pass_through(self):
         cfg = ExperimentConfig(j1="4", j2="6")
-        levels = _resolve_levels(cfg, 0.01, LongMemoryParams(0.8, 0.6))
+        levels = self.resolve(cfg, 0.01, LongMemoryParams(0.8, 0.6))
         assert (levels.j1, levels.j2) == (4, 6)
         assert (levels.j1_raw, levels.j2_raw) == (4.0, 6.0)
         assert not levels.j1_capped and not levels.j2_capped
@@ -195,34 +201,32 @@ class TestLevelResolution:
     def test_preset_levels_follow_snr(self):
         for snr in (10.0, 20.0, 30.0):
             cfg = ExperimentConfig(snr_db=snr, j1="preset", j2="preset")
-            levels = _resolve_levels(cfg, 0.01, LongMemoryParams(0.8, 0.6))
+            levels = self.resolve(cfg, 0.01, LongMemoryParams(0.8, 0.6))
             assert levels.j1 == PRESET_J1[snr]
             assert levels.j2 == PRESET_J2[snr]
 
     def test_preset_out_of_range_for_small_grid(self):
-        cfg = ExperimentConfig(N=16, snr_db=30.0, j1="preset", j2="3")
         with pytest.raises(ConfigError, match="outside the level range"):
-            _resolve_levels(cfg, 0.01, LongMemoryParams(0.8, 0.6))
+            ExperimentConfig(N=16, snr_db=30.0, j1="preset", j2="3")
 
     def test_auto_matches_finest_levels(self):
         cfg = ExperimentConfig(j1="auto", j2="auto")
         alpha = LongMemoryParams(0.8, 0.6)
-        levels = _resolve_levels(cfg, 0.003, alpha)
+        levels = self.resolve(cfg, 0.003, alpha)
         expected = finest_levels(0.003, 1.0, alpha, cfg.nu, cfg.N)
         assert levels == expected
 
     def test_mixed_modes_take_components(self):
         cfg = ExperimentConfig(j1="auto", j2="4")
         alpha = LongMemoryParams(0.8, 0.6)
-        levels = _resolve_levels(cfg, 0.003, alpha)
+        levels = self.resolve(cfg, 0.003, alpha)
         auto = finest_levels(0.003, 1.0, alpha, cfg.nu, cfg.N)
         assert levels.j1 == auto.j1
         assert levels.j2 == 4
 
     def test_auto_without_noise_rejected(self):
-        cfg = ExperimentConfig(j1="auto", j2="5")
         with pytest.raises(ConfigError, match="automatic level selection"):
-            _resolve_levels(cfg, 0.0, LongMemoryParams(0.8, 0.6))
+            ExperimentConfig(snr_db=math.inf, j1="auto", j2="5")
 
 
 class TestSimulate:
@@ -303,9 +307,8 @@ class TestSimulate:
         assert data["sigma"] == "0.0"
 
     def test_noiseless_auto_levels_rejected(self, tmp_path):
-        cfg = fast_config(tmp_path, snr_db=math.inf, j1="auto", j2="4", runs=1)
         with pytest.raises(ConfigError, match="automatic level selection"):
-            run_simulation(cfg)
+            fast_config(tmp_path, snr_db=math.inf, j1="auto", j2="4", runs=1)
 
     def test_single_run_has_zero_se(self, tmp_path):
         report, _ = _simulate(fast_config(tmp_path, runs=1))
@@ -346,6 +349,29 @@ class TestSimulate:
             run_simulation(cfg)
         assert len(calls) == 2
         assert os.listdir(cfg.outdir) == []
+
+    def test_failed_rerun_keeps_the_finished_run(self, tmp_path, monkeypatch):
+        import fdeconv.cli as cli
+
+        names = ["config.txt", "per_run_errors.csv", "risk_report.txt", "summary.csv"]
+        cfg = fast_config(tmp_path, runs=2)
+        run_simulation(cfg)
+        out = tmp_path / "out"
+        before = {name: (out / name).read_bytes() for name in names}
+        real_write = cli._write_kv
+
+        def failing_write(path, pairs):
+            if path.endswith("risk_report.txt"):
+                real_write(path, list(pairs)[:3])  # a truncated report, then the failure
+                raise OSError("disk full")
+            real_write(path, pairs)
+
+        monkeypatch.setattr(cli, "_write_kv", failing_write)
+        with pytest.raises(OSError, match="disk full"):
+            run_simulation(fast_config(tmp_path, runs=2, seed=12))
+        assert sorted(os.listdir(cfg.outdir)) == names
+        after = {name: (out / name).read_bytes() for name in names}
+        assert after == before
 
 
 class TestParsevalScore:
@@ -544,6 +570,20 @@ class TestRatesCommand:
         assert all("uncovered" in line for line in lines[1:])
         assert all("nan" in line for line in lines[1:])
 
+    def test_failed_plot_leaves_no_output(self, tmp_path, monkeypatch):
+        import fdeconv.cli as cli
+
+        def failing_plot(points, path):
+            with open(path, "wb") as fh:
+                fh.write(b"\x89PNG")  # a truncated image, then the failure
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "_plot_curve", failing_plot)
+        outdir = str(tmp_path / "rates")
+        with pytest.raises(OSError, match="disk full"):
+            run_rates(self.dense_query(), (0.1, 0.01), outdir, plot=True)
+        assert os.listdir(outdir) == []
+
     def test_plot_file_written(self, tmp_path):
         pytest.importorskip("matplotlib")
         outdir = str(tmp_path / "rates")
@@ -620,7 +660,88 @@ class TestRatesCommand:
             run_rates(query, (0.1,), str(tmp_path / "cmp"), empirical_dirs=[d1, d2])
 
 
+def loop_field_csv(field, path):
+    """The per-row field writer the vectorised one replaced, kept as the reference."""
+    N = field.shape[0]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["t", "x", "value"])
+        for i in range(N):
+            for j in range(N):
+                writer.writerow([repr(i / N), repr(j / N), repr(float(field[i, j]))])
+
+
+def loop_coeff_csv(coeffs, path):
+    """The per-row coefficient writer the vectorised one replaced, kept as the reference."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["j1", "k1", "j2", "k2", "real", "imag"])
+        for b1, b2, view in coeffs.blocks():
+            for k1 in range(view.shape[0]):
+                for k2 in range(view.shape[1]):
+                    value = view[k1, k2]
+                    writer.writerow(
+                        [b1, k1, b2, k2, repr(float(value.real)), repr(float(value.imag))]
+                    )
+
+
 class TestTransform:
+    def test_writers_match_the_loop_writers_byte_for_byte(self, tmp_path):
+        rng = np.random.default_rng(9)
+        field = rng.standard_normal((64, 64)) * 10.0 ** rng.integers(-300, 300, (64, 64))
+        field[0, :4] = [0.0, -0.0, 1e-320, -np.inf]
+        field[1, :2] = [np.nan, 5e-324]
+        src = str(tmp_path / "field.csv")
+        _write_field_csv(field, src)
+        loop_field_csv(field, tmp_path / "field_ref.csv")
+        assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "field_ref.csv").read_bytes()
+        back = _read_field_csv(src)
+        assert np.array_equal(back, field, equal_nan=True)
+        assert np.array_equal(np.signbit(back), np.signbit(field))
+
+        smooth = rng.standard_normal((64, 64))
+        _write_field_csv(smooth, src)
+        new, ref = tmp_path / "coeffs.csv", tmp_path / "coeffs_ref.csv"
+        for levels in ((None, None), (3, 4)):
+            run_transform(src, str(new), j1=levels[0], j2=levels[1])
+            J1, J2 = (5 if j is None else j for j in levels)
+            loop_coeff_csv(forward_2d(smooth, J1=J1, J2=J2), ref)
+            assert new.read_bytes() == ref.read_bytes()
+
+    def test_failed_write_leaves_no_output(self, tmp_path, monkeypatch):
+        import fdeconv.cli as cli
+
+        src, coeffs = str(tmp_path / "field.csv"), str(tmp_path / "coeffs.csv")
+        _write_field_csv(np.random.default_rng(4).standard_normal((16, 16)), src)
+        run_transform(src, coeffs)
+        real_write = cli._write_field_csv
+
+        def failing_write(field, path):
+            real_write(field[:2], path)  # a truncated field, then the failure
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "_write_field_csv", failing_write)
+        with pytest.raises(OSError, match="disk full"):
+            run_transform(coeffs, str(tmp_path / "back.csv"), inverse=True)
+        assert sorted(os.listdir(tmp_path)) == ["coeffs.csv", "field.csv"]
+
+    @pytest.mark.parametrize(
+        "rows, match",
+        [
+            (["3,0,3,0,1.0,0.0", "3,12,3,0,1.0,0.0", "1,0,3,0,1.0,0.0"], "shift \\(12, 0\\)"),
+            (["3,0,3,0,1.0,0.0", "1,0,3,0,1.0,0.0", "3,12,3,0,1.0,0.0"], "no block \\(1, 3\\)"),
+            (["3,0,3,0,1.0,0.0", "3,0,3,-1,1.0,0.0"], "shift \\(0, -1\\) outside block"),
+            (["3,0,3,0,1.0", "3,0,3,0,1.0,0.0"], "bad coefficient row"),
+            (["3,0.5,3,0,1.0,0.0"], "bad coefficient row"),
+        ],
+    )
+    def test_first_offending_coefficient_row_is_reported(self, tmp_path, rows, match):
+        path = tmp_path / "coeffs.csv"
+        path.write_text("\n".join(["j1,k1,j2,k2,real,imag"] + rows) + "\n")
+        with pytest.raises(ConfigError, match=match):
+            run_transform(str(path), str(tmp_path / "out.csv"), inverse=True, n=16)
+        assert not (tmp_path / "out.csv").exists()
+
     def test_round_trip_through_csv(self, tmp_path):
         rng = np.random.default_rng(42)
         field = rng.standard_normal((16, 16))
@@ -703,6 +824,24 @@ class TestTransform:
         rows[1] = rows[2]
         path.write_text("\n".join(rows) + "\n")
         with pytest.raises(ConfigError, match="duplicate grid cell"):
+            _read_field_csv(str(path))
+
+    @pytest.mark.parametrize(
+        "row, match",
+        [
+            ("1.0,0.0,1.0", "fall outside the unit grid"),
+            ("0.0,-0.0625,1.0", "fall outside the unit grid"),
+            ("nan,0.0,1.0", "fall outside the unit grid"),
+            ("0.0,zero,1.0", "bad field row"),
+            ("0.0,0.0", "bad field row"),
+        ],
+    )
+    def test_bad_field_row_rejected(self, tmp_path, row, match):
+        path = tmp_path / "field.csv"
+        rows = ["t,x,value"] + [f"{i / 16!r},{j / 16!r},1.0" for i in range(16) for j in range(16)]
+        rows[100] = row
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ConfigError, match=match):
             _read_field_csv(str(path))
 
     def test_field_below_coarsest_scale_fails_in_the_reader(self, tmp_path, capsys):

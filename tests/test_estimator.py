@@ -27,6 +27,7 @@ from fdeconv.estimator import (
     finest_levels,
     lp_risk,
     mise,
+    resolve_levels,
     threshold_lambda,
     validate_field,
 )
@@ -485,9 +486,15 @@ class TestRiskMetrics:
         assert report.mise == pytest.approx(5.0)
         assert report.se == pytest.approx(np.std([1.0, 9.0], ddof=1) / np.sqrt(2))
 
-    def test_as_dict_round_trip(self):
-        report = RiskReport(mise=0.5, se=0.1, per_run=(0.5,), runs=1, j1=3, j2=5)
-        assert report.as_dict() == {"mise": 0.5, "se": 0.1, "runs": 1, "j1": 3, "j2": 5}
+    def test_from_errors_is_the_reducer_mise_uses(self):
+        truth = np.zeros((4, 4))
+        runs = [np.full((4, 4), 1.0), np.full((4, 4), 3.0)]
+        report = RiskReport.from_errors([1.0, 9.0], j1=3, j2=5)
+        assert report == mise(truth, runs, j1=3, j2=5)
+        assert (report.runs, report.j1, report.j2) == (2, 3, 5)
+        assert RiskReport.from_errors([0.25]).se == 0.0
+        with pytest.raises(ParameterError):
+            RiskReport.from_errors([])
 
     def test_empty_run_list_rejected(self):
         with pytest.raises(ParameterError):
@@ -513,6 +520,22 @@ class TestRiskMetrics:
     def test_nonpositive_p_rejected(self):
         with pytest.raises(ParameterError):
             lp_risk(np.zeros((4, 4)), [np.zeros((4, 4))], 0)
+
+
+class TestResolveLevels:
+    def test_fixed_levels_never_consult_the_level_rule(self):
+        # epsilon = 0 is outside finest_levels' domain; fixed levels never need it
+        levels = resolve_levels(0.0, LongMemoryParams(0.8, 0.6), 0.5, 64, j1=3, j2=5)
+        assert levels == LevelSelection(3, 5, 3.0, 5.0, False, False)
+        with pytest.raises(ParameterError, match="epsilon"):
+            resolve_levels(0.0, LongMemoryParams(0.8, 0.6), 0.5, 64, j1=3)
+
+    def test_fixed_levels_are_range_checked(self):
+        alpha = LongMemoryParams(0.8, 0.6)
+        with pytest.raises(ParameterError, match=r"j1 must lie in \[2, 5\] for N=64, got 6"):
+            resolve_levels(0.01, alpha, 0.5, 64, j1=6, j2=3)
+        with pytest.raises(ParameterError, match=r"j2 must lie in \[1, 5\] for N=64, got 0"):
+            resolve_levels(0.01, alpha, 0.5, 64, j1=3, j2=0, m0=2)
 
 
 class TestBesovDiagnostic:

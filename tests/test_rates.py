@@ -45,9 +45,6 @@ class TestRateQuery:
         assert q.pi_prime == 2.0
         assert q.p_prime == 3.0
         assert q.s_star == pytest.approx((2.25, 1.25), rel=1e-15)
-        assert q.s_prime == pytest.approx((2.0, 1.0), rel=1e-15)
-        # s + 1/p - 1/p' with p' = min(3, 4) = 3 collapses to s itself
-        assert q.s_double_prime == pytest.approx((2.0, 1.0), rel=1e-15)
 
     def test_infinite_pi_means_zero_reciprocal(self):
         q = RateQuery(s=(1.0, 1.0), pi=math.inf, q=math.inf, p=2.0, nu=0.5, alpha=(1.0, 1.0))
