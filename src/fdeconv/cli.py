@@ -115,6 +115,10 @@ def _parse_bool(name: str, text: str) -> bool:
     raise ConfigError(f"{name} must be 'true' or 'false', got {text!r}")
 
 
+#: Text parser per declared field type; ``ExperimentConfig`` annotations are strings.
+_PARSERS = {"int": _parse_int, "float": _parse_float, "bool": _parse_bool}
+
+
 def _level_arg(label: str, text: str, snr_db: float) -> int | None:
     """A level mode as :func:`resolve_levels` takes it: ``None`` for auto, else the level."""
     if text == "auto":
@@ -230,42 +234,18 @@ class ExperimentConfig:
 
     def to_mapping(self) -> dict:
         """Serialize to an ordered str -> str mapping, losslessly."""
-        out = {}
-        for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            if isinstance(value, bool):
-                out[field.name] = "true" if value else "false"
-            elif isinstance(value, float):
-                out[field.name] = repr(value)
-            else:
-                out[field.name] = str(value)
-        return out
+        return {field.name: _text(getattr(self, field.name)) for field in dataclasses.fields(self)}
 
     @classmethod
     def from_mapping(cls, mapping) -> "ExperimentConfig":
-        """Build a config from str -> str pairs; unknown keys are errors."""
-        parsers = {
-            "signal": None,
-            "N": _parse_int,
-            "snr_db": _parse_float,
-            "alpha1": _parse_float,
-            "alpha2": _parse_float,
-            "gamma": _parse_float,
-            "nu": _parse_float,
-            "kernel": None,
-            "kernel_unit_mass": _parse_bool,
-            "j1": None,
-            "j2": None,
-            "noise": None,
-            "runs": _parse_int,
-            "seed": _parse_int,
-            "outdir": None,
-        }
+        """Build a config from str -> str pairs, parsed by each field's declared
+        type (``str`` fields take the text as it is); unknown keys are errors."""
+        types = {field.name: field.type for field in dataclasses.fields(cls)}
         kwargs = {}
         for key, text in mapping.items():
-            if key not in parsers:
+            if key not in types:
                 raise ConfigError(f"unknown configuration key {key!r}")
-            parse = parsers[key]
+            parse = _PARSERS.get(types[key])
             kwargs[key] = text if parse is None else parse(key, text)
         return cls(**kwargs)
 
@@ -281,17 +261,31 @@ class ExperimentConfig:
         return " ".join(f"{k}={v}" for k, v in self.to_mapping().items())
 
 
+def _text(value) -> str:
+    """One artifact value as text: empty when missing, ``true``/``false``, ``repr``
+    floats (lossless), tuples comma-joined, anything else ``str``."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, tuple):
+        return ",".join(_text(item) for item in value)
+    return str(value)
+
+
 def _write_kv(path, pairs) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for key, value in pairs:
-            fh.write(f"{key}={value}\n")
+            fh.write(f"{key}={_text(value)}\n")
 
 
 def _write_csv(path: str, header, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows([_text(value) for value in row] for row in rows)
 
 
 def _read_kv_file(path: str) -> dict:
@@ -507,82 +501,59 @@ def _staged(outdir: str):
         shutil.rmtree(stage, ignore_errors=True)
 
 
+#: The risk-report keys that ``summary.csv`` repeats, in its column order.
+_SUMMARY_KEYS = (
+    "signal", "snr_db", "sigma", "alpha1", "alpha2", "gamma", "j1", "j2", "runs", "mise", "se"
+)
+
+
 def run_simulation(cfg: ExperimentConfig, jobs: int = 1) -> RiskReport:
     """Run one experiment and write its artifacts into ``cfg.outdir``.
 
     Files: ``config.txt`` (exact configuration echo), ``per_run_errors.csv``
-    (run, error), ``summary.csv`` (one row), ``risk_report.txt`` (flat
-    key=value report). Everything is computed before anything is written,
-    and the files only replace an earlier run's once all of them are written
-    (:func:`_staged`).
+    (run, error), ``risk_report.txt`` (flat key=value report) and
+    ``summary.csv`` (the report's :data:`_SUMMARY_KEYS` as one row). The
+    staging directory (:func:`_staged`) is made before the first run, so an
+    unwritable ``cfg.outdir`` fails before any computation, and the files
+    only replace an earlier run's once all of them are written.
     """
-    report, ctx = _simulate(cfg, jobs)
     with _staged(cfg.outdir) as stage:
+        report, ctx = _simulate(cfg, jobs)
+        record = {
+            "schema_version": SCHEMA_VERSION,
+            "signal": cfg.signal,
+            "n": cfg.N,
+            "snr_db": cfg.snr_db,
+            "sigma": ctx.sigma,
+            "epsilon": ctx.epsilon,
+            "alpha1": cfg.alpha1,
+            "alpha2": cfg.alpha2,
+            "gamma": cfg.gamma,
+            "nu": cfg.nu,
+            "kernel": cfg.kernel,
+            "noise": cfg.noise,
+            "j1": ctx.levels.j1,
+            "j2": ctx.levels.j2,
+            "j1_raw": ctx.levels.j1_raw,
+            "j1_capped": ctx.levels.j1_capped,
+            "j2_raw": ctx.levels.j2_raw,
+            "j2_capped": ctx.levels.j2_capped,
+            "runs": cfg.runs,
+            "mise": report.mise,
+            "se": report.se,
+        }
         cfg.to_file(os.path.join(stage, "config.txt"))
-
         _write_csv(
-            os.path.join(stage, "per_run_errors.csv"),
-            ["run", "error"],
-            ([run, repr(error)] for run, error in enumerate(report.per_run)),
+            os.path.join(stage, "per_run_errors.csv"), ["run", "error"], enumerate(report.per_run)
         )
-        _write_csv(
-            os.path.join(stage, "summary.csv"),
-            [
-                "signal",
-                "snr_db",
-                "sigma",
-                "alpha1",
-                "alpha2",
-                "gamma",
-                "j1",
-                "j2",
-                "runs",
-                "mise",
-                "se",
-            ],
-            [
-                [
-                    cfg.signal,
-                    repr(cfg.snr_db),
-                    repr(ctx.sigma),
-                    repr(cfg.alpha1),
-                    repr(cfg.alpha2),
-                    repr(cfg.gamma),
-                    ctx.levels.j1,
-                    ctx.levels.j2,
-                    cfg.runs,
-                    repr(report.mise),
-                    repr(report.se),
-                ]
-            ],
-        )
-        _write_kv(
-            os.path.join(stage, "risk_report.txt"),
-            [
-                ("schema_version", SCHEMA_VERSION),
-                ("signal", cfg.signal),
-                ("n", cfg.N),
-                ("snr_db", repr(cfg.snr_db)),
-                ("sigma", repr(ctx.sigma)),
-                ("epsilon", repr(ctx.epsilon)),
-                ("alpha1", repr(cfg.alpha1)),
-                ("alpha2", repr(cfg.alpha2)),
-                ("gamma", repr(cfg.gamma)),
-                ("nu", repr(cfg.nu)),
-                ("kernel", cfg.kernel),
-                ("noise", cfg.noise),
-                ("j1", ctx.levels.j1),
-                ("j2", ctx.levels.j2),
-                ("j1_raw", repr(ctx.levels.j1_raw)),
-                ("j1_capped", "true" if ctx.levels.j1_capped else "false"),
-                ("j2_raw", repr(ctx.levels.j2_raw)),
-                ("j2_capped", "true" if ctx.levels.j2_capped else "false"),
-                ("runs", cfg.runs),
-                ("mise", repr(report.mise)),
-                ("se", repr(report.se)),
-            ],
-        )
+        summary = [[record[key] for key in _SUMMARY_KEYS]]
+        _write_csv(os.path.join(stage, "summary.csv"), _SUMMARY_KEYS, summary)
+        _write_kv(os.path.join(stage, "risk_report.txt"), record.items())
     return report
+
+
+#: The columns of ``table.csv``: the keys of each cell, in order.
+_TABLE_KEYS = ("signal", "snr_db", "alpha1", "alpha2", "mise", "se", "j1", "trend_ok", "status")
 
 
 def run_table(
@@ -602,8 +573,9 @@ def run_table(
     no larger than the strongest (smallest alpha sum); it is empty when
     either endpoint failed. All cells run as one :func:`_sweep`, so one
     process pool serves the whole grid and each signal's set-up is built
-    once per process. Writes ``config.txt`` and ``table.csv`` into
-    ``cfg.outdir`` and returns the rows as dictionaries.
+    once per process. Writes ``config.txt`` and ``table.csv`` (one row of
+    values per cell, under :data:`_TABLE_KEYS`) into ``cfg.outdir``, staged
+    before the sweep starts, and returns the rows as dictionaries.
     """
     groups, runnable = [], []
     for signal in signals:
@@ -636,59 +608,31 @@ def run_table(
                 group.append(cell)
             groups.append(group)
 
-    results = _sweep([cell_cfg for _, cell_cfg in runnable], jobs)
-    for (cell, _), result in zip(runnable, results):
-        if isinstance(result, FdeconvError):
-            cell["status"] = f"error: {type(result).__name__}"
-        else:
-            report, ctx = result
-            cell["mise"] = report.mise
-            cell["se"] = report.se
-            cell["j1"] = ctx.levels.j1
-
-    rows = []
-    for group in groups:
-        rows.extend(group)
-        if not group:
-            continue
-        weakest = max(group, key=lambda c: c["alpha1"] + c["alpha2"])
-        strongest = min(group, key=lambda c: c["alpha1"] + c["alpha2"])
-        if weakest["mise"] is not None and strongest["mise"] is not None:
-            flag = "true" if weakest["mise"] <= strongest["mise"] else "false"
-            for cell in group:
-                cell["trend_ok"] = flag
-
     with _staged(cfg.outdir) as stage:
-        cfg.to_file(os.path.join(stage, "config.txt"))
+        results = _sweep([cell_cfg for _, cell_cfg in runnable], jobs)
+        for (cell, _), result in zip(runnable, results):
+            if isinstance(result, FdeconvError):
+                cell["status"] = f"error: {type(result).__name__}"
+            else:
+                report, ctx = result
+                cell["mise"] = report.mise
+                cell["se"] = report.se
+                cell["j1"] = ctx.levels.j1
 
-        _write_csv(
-            os.path.join(stage, "table.csv"),
-            [
-                "signal",
-                "snr_db",
-                "alpha1",
-                "alpha2",
-                "mise",
-                "se",
-                "j1",
-                "trend_ok",
-                "status",
-            ],
-            (
-                [
-                    cell["signal"],
-                    repr(cell["snr_db"]),
-                    repr(cell["alpha1"]),
-                    repr(cell["alpha2"]),
-                    "" if cell["mise"] is None else repr(cell["mise"]),
-                    "" if cell["se"] is None else repr(cell["se"]),
-                    "" if cell["j1"] is None else cell["j1"],
-                    cell["trend_ok"],
-                    cell["status"],
-                ]
-                for cell in rows
-            ),
-        )
+        rows = []
+        for group in groups:
+            rows.extend(group)
+            if not group:
+                continue
+            weakest = max(group, key=lambda c: c["alpha1"] + c["alpha2"])
+            strongest = min(group, key=lambda c: c["alpha1"] + c["alpha2"])
+            if weakest["mise"] is not None and strongest["mise"] is not None:
+                flag = "true" if weakest["mise"] <= strongest["mise"] else "false"
+                for cell in group:
+                    cell["trend_ok"] = flag
+
+        cfg.to_file(os.path.join(stage, "config.txt"))
+        _write_csv(os.path.join(stage, "table.csv"), _TABLE_KEYS, (cell.values() for cell in rows))
     return rows
 
 
@@ -768,12 +712,11 @@ def _compare_empirical(query: RateQuery, result, dirs, stage: str) -> None:
     slope = float(np.polyfit(x, y, 1)[0])
     gap = abs(slope - result.exponent)
     tolerance = 0.2
-    within = gap <= tolerance
 
     _write_csv(
         os.path.join(stage, "rates_empirical.csv"),
         ["n", "sigma", "epsilon", "mise"],
-        ([pt["n"], repr(pt["sigma"]), repr(pt["epsilon"]), repr(pt["mise"])] for pt in points),
+        ([pt["n"], pt["sigma"], pt["epsilon"], pt["mise"]] for pt in points),
     )
 
     _write_kv(
@@ -781,11 +724,11 @@ def _compare_empirical(query: RateQuery, result, dirs, stage: str) -> None:
         [
             ("schema_version", SCHEMA_VERSION),
             ("points", len(points)),
-            ("fitted_slope", repr(slope)),
-            ("theory_exponent", repr(result.exponent)),
-            ("gap", repr(gap)),
-            ("tolerance", repr(tolerance)),
-            ("within_tolerance", "true" if within else "false"),
+            ("fitted_slope", slope),
+            ("theory_exponent", result.exponent),
+            ("gap", gap),
+            ("tolerance", tolerance),
+            ("within_tolerance", gap <= tolerance),
             ("regime", result.regime),
         ],
     )
@@ -813,17 +756,17 @@ def run_rates(
             os.path.join(stage, "rates_config.txt"),
             [
                 ("schema_version", SCHEMA_VERSION),
-                ("s", ",".join(repr(v) for v in query.s)),
-                ("pi", repr(query.pi)),
-                ("q", repr(query.q)),
-                ("p", repr(query.p)),
-                ("nu", repr(query.nu)),
-                ("alpha", ",".join(repr(v) for v in query.alpha)),
-                ("A", repr(query.A)),
-                ("epsilons", ",".join(repr(pt.epsilon) for pt in points)),
+                ("s", query.s),
+                ("pi", query.pi),
+                ("q", query.q),
+                ("p", query.p),
+                ("nu", query.nu),
+                ("alpha", query.alpha),
+                ("A", query.A),
+                ("epsilons", tuple(pt.epsilon for pt in points)),
                 ("regime", result.regime),
-                ("exponent", repr(result.exponent)),
-                ("log_exponent_upper", repr(result.log_exponent_upper)),
+                ("exponent", result.exponent),
+                ("log_exponent_upper", result.log_exponent_upper),
                 ("xi1", result.xi1),
                 ("xi2", result.xi2),
             ],
@@ -866,6 +809,13 @@ def _read_csv_table(path: str, columns, what: str) -> np.ndarray:
         raise ConfigError(f"cannot read {path}: {exc}") from None
 
 
+def _first_repeat(index: np.ndarray) -> int | None:
+    """Position of the first entry of ``index`` equal to an earlier one, if any."""
+    order = np.argsort(index, kind="stable")  # equal entries keep their order
+    later = order[1:][np.diff(index[order]) == 0]  # all but the first entry of each value
+    return int(later.min()) if later.size else None
+
+
 def _read_field_csv(path: str) -> np.ndarray:
     rows = _read_csv_table(path, _FIELD_COLUMNS, "field")
     count = rows.size
@@ -883,9 +833,8 @@ def _read_field_csv(path: str) -> np.ndarray:
         r = int(np.argmax(outside))
         raise ConfigError(f"{path}: coordinates ({t[r]}, {x[r]}) fall outside the unit grid")
     cell = i.astype(np.intp) * N + j.astype(np.intp)
-    first = np.unique(cell, return_index=True)[1]
-    if first.size < count:  # N*N distinct in-range cells are the whole grid
-        r = int(np.setdiff1d(np.arange(count), first)[0])
+    r = _first_repeat(cell)
+    if r is not None:  # N*N distinct in-range cells are the whole grid
         raise ConfigError(f"{path}: duplicate grid cell ({t[r]}, {x[r]})")
     grid = np.empty(count)
     grid[cell] = rows["value"]
@@ -945,6 +894,11 @@ def _transform_inverse(input_path: str, output_path: str, n) -> None:
         raise ConfigError(
             f"{input_path}: shift ({k1[r]}, {k2[r]}) outside block ({b1[r]}, {b2[r]}) "
             f"of shape {(int(size1[r]), int(size2[r]))}"
+        )
+    r = _first_repeat((start1 + k1) * packed.shape[1] + start2 + k2)
+    if r is not None:
+        raise ConfigError(
+            f"{input_path}: repeated coefficient ({b1[r]}, {k1[r]}, {b2[r]}, {k2[r]})"
         )
     packed.real[start1 + k1, start2 + k2] = rows["real"]
     packed.imag[start1 + k1, start2 + k2] = rows["imag"]
@@ -1009,13 +963,18 @@ def _parse_float_list(text: str, flag: str):
     return tuple(_parse_float(flag, part) for part in parts)
 
 
-def _cmd_simulate(args) -> int:
+def _run_experiment(args, run):
+    """Build the configuration from ``args`` and ``run`` it; echo it if the run fails."""
     cfg = _config_from_args(args)
     try:
-        report = run_simulation(cfg, jobs=args.jobs)
-    except FdeconvError:
+        return cfg, run(cfg, jobs=args.jobs)
+    except (FdeconvError, OSError):
         print(f"config: {cfg.to_line()}", file=sys.stderr)
         raise
+
+
+def _cmd_simulate(args) -> int:
+    cfg, report = _run_experiment(args, run_simulation)
     print(
         f"mise={report.mise!r} se={report.se!r} runs={report.runs} "
         f"j1={report.j1} j2={report.j2} out={cfg.outdir}"
@@ -1024,12 +983,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    cfg = _config_from_args(args)
-    try:
-        rows = run_table(cfg, jobs=args.jobs)
-    except FdeconvError:
-        print(f"config: {cfg.to_line()}", file=sys.stderr)
-        raise
+    cfg, rows = _run_experiment(args, run_table)
     failed = sum(1 for row in rows if row["status"] != "ok")
     print(f"cells={len(rows)} errors={failed} out={cfg.outdir}")
     return 0
@@ -1132,12 +1086,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Entry point; returns 0 on success, 2 on bad input, 3 on numerics."""
+    """Entry point; returns 0 on success, 2 on bad input or output path, 3 on numerics."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FdeconvError as exc:
+    except (FdeconvError, OSError) as exc:
         print(f"fdeconv {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, ArithmeticError) else 2
 

@@ -26,7 +26,7 @@ orthonormal, a squared error can be scored on the coefficients alone
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -276,7 +276,7 @@ def estimate_coefficients(
     values = validate_field(Y)
     N = values.shape[0]
     if levels is None:
-        levels = finest_levels(policy.epsilon, 1.0, policy.alpha, policy.nu, N, m0)
+        levels = resolve_levels(policy.epsilon, policy.alpha, policy.nu, N, m0=m0)
     filt = meyer_filter(N, m0)
     D = _deconvolved_rows(values, _kernel_fourier(kernel, N), filt, levels.j1)
     # Y and g are real and the divided rows are +-symmetric, so the divided
@@ -417,6 +417,7 @@ def besov_diagnostic(
     return float(worst ** (1.0 / pp))
 
 
+@dataclass(eq=False)
 class MeyerDeconvolver:
     """Deconvolution estimator with a fit/transform interface.
 
@@ -430,49 +431,24 @@ class MeyerDeconvolver:
     ``policy_`` and ``coefficients_``.
     """
 
-    _PARAM_NAMES = (
-        "gamma",
-        "nu",
-        "alpha",
-        "sigma",
-        "epsilon",
-        "amplitude",
-        "j1",
-        "j2",
-        "m0",
-    )
-
-    def __init__(
-        self,
-        gamma: float = DEFAULT_GAMMA,
-        nu: float = 0.5,
-        alpha=(1.0, 1.0),
-        sigma: float | None = None,
-        epsilon: float | None = None,
-        amplitude: float = 1.0,
-        j1: int | None = None,
-        j2: int | None = None,
-        m0: int = 3,
-    ):
-        self.gamma = gamma
-        self.nu = nu
-        self.alpha = alpha
-        self.sigma = sigma
-        self.epsilon = epsilon
-        self.amplitude = amplitude
-        self.j1 = j1
-        self.j2 = j2
-        self.m0 = m0
+    gamma: float = DEFAULT_GAMMA
+    nu: float = 0.5
+    alpha: tuple | LongMemoryParams = (1.0, 1.0)
+    sigma: float | None = None
+    epsilon: float | None = None
+    amplitude: float = 1.0
+    j1: int | None = None
+    j2: int | None = None
+    m0: int = 3
 
     def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._PARAM_NAMES}
+        return {field.name: getattr(self, field.name) for field in fields(self)}
 
     def set_params(self, **params) -> "MeyerDeconvolver":
+        names = tuple(field.name for field in fields(self))
         for name, value in params.items():
-            if name not in self._PARAM_NAMES:
-                raise ParameterError(
-                    f"unknown parameter {name!r}; options are {self._PARAM_NAMES}"
-                )
+            if name not in names:
+                raise ParameterError(f"unknown parameter {name!r}; options are {names}")
             setattr(self, name, value)
         return self
 

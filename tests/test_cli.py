@@ -660,6 +660,75 @@ class TestRatesCommand:
             run_rates(query, (0.1,), str(tmp_path / "cmp"), empirical_dirs=[d1, d2])
 
 
+def read_kv(path) -> dict:
+    return dict(line.split("=", 1) for line in open(path, encoding="utf-8").read().splitlines())
+
+
+def read_csv_rows(path) -> list:
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+class TestArtifactFormat:
+    """Artifacts write floats as ``repr``, bools as true/false, missing values as empty."""
+
+    FLOATS = {
+        "config.txt": {"snr_db", "alpha1", "alpha2", "gamma", "nu"},
+        "risk_report.txt": {
+            "snr_db", "sigma", "epsilon", "alpha1", "alpha2", "gamma", "nu",
+            "j1_raw", "j2_raw", "mise", "se",
+        },
+        "summary.csv": {"snr_db", "sigma", "alpha1", "alpha2", "gamma", "mise", "se"},
+        "table.csv": {"snr_db", "alpha1", "alpha2", "mise", "se"},
+        "rates_config.txt": {
+            "s", "pi", "q", "p", "nu", "alpha", "A", "epsilons", "exponent",
+            "log_exponent_upper",
+        },
+        "rates_comparison.txt": {"fitted_slope", "theory_exponent", "gap", "tolerance"},
+        "rates_empirical.csv": {"sigma", "epsilon", "mise"},
+    }
+    BOOLS = {"kernel_unit_mass", "j1_capped", "j2_capped", "within_tolerance", "trend_ok"}
+
+    def check(self, name, record):
+        for key in self.FLOATS[name]:
+            for text in record[key].split(","):
+                assert text == repr(float(text)), (name, key, text)
+        for key in self.BOOLS & record.keys():
+            assert record[key] in ("true", "false"), (name, key, record[key])
+
+    def test_every_artifact_uses_the_canonical_values(self, tmp_path):
+        dirs = []
+        for snr in (20.0, 30.0):
+            out = tmp_path / f"s{snr}"
+            run_simulation(fast_config(tmp_path, j1="auto", snr_db=snr, runs=2, outdir=str(out)))
+            report = read_kv(out / "risk_report.txt")
+            (summary,) = read_csv_rows(out / "summary.csv")
+            self.check("config.txt", read_kv(out / "config.txt"))
+            self.check("risk_report.txt", report)
+            self.check("summary.csv", summary)
+            assert summary == {key: report[key] for key in summary}
+            dirs.append(str(out))
+
+        cfg = fast_config(tmp_path, j1="preset", runs=2, outdir=str(tmp_path / "table"))
+        run_table(cfg, signals=("lidar",), snrs=(20.0, 15.0), pairs=((0.8, 0.6), (0.4, 0.2)))
+        rows = read_csv_rows(tmp_path / "table" / "table.csv")
+        failed = [row for row in rows if row["status"] != "ok"]
+        assert len(failed) == 2
+        for row in failed:
+            assert row["mise"] == row["se"] == row["j1"] == row["trend_ok"] == ""
+        for row in rows:
+            if row["status"] == "ok":
+                self.check("table.csv", row)
+
+        query = RateQuery(s=(1.0, 1.0), pi=2.0, q=2.0, p=2.0, nu=0.5, alpha=(0.8, 0.6))
+        out = tmp_path / "rates"
+        run_rates(query, (0.1, 0.01), str(out), empirical_dirs=dirs)
+        self.check("rates_config.txt", read_kv(out / "rates_config.txt"))
+        self.check("rates_comparison.txt", read_kv(out / "rates_comparison.txt"))
+        for row in read_csv_rows(out / "rates_empirical.csv"):
+            self.check("rates_empirical.csv", row)
+
+
 def loop_field_csv(field, path):
     """The per-row field writer the vectorised one replaced, kept as the reference."""
     N = field.shape[0]
@@ -733,6 +802,11 @@ class TestTransform:
             (["3,0,3,0,1.0,0.0", "3,0,3,-1,1.0,0.0"], "shift \\(0, -1\\) outside block"),
             (["3,0,3,0,1.0", "3,0,3,0,1.0,0.0"], "bad coefficient row"),
             (["3,0.5,3,0,1.0,0.0"], "bad coefficient row"),
+            (["3,0,3,0,1.0,0.0", "3,0,3,0,5.0,0.0"], "repeated coefficient \\(3, 0, 3, 0\\)"),
+            (
+                ["2,1,3,0,1.0,0.0", "3,1,3,0,1.0,0.0", "3,1,3,0,2.0,0.0", "2,1,3,0,2.0,0.0"],
+                "repeated coefficient \\(3, 1, 3, 0\\)",
+            ),
         ],
     )
     def test_first_offending_coefficient_row_is_reported(self, tmp_path, rows, match):
@@ -902,6 +976,24 @@ class TestMainInterface:
         err = capsys.readouterr().err
         assert "config: signal=lidar" in err
         assert "ConfigError" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "table"])
+    def test_unwritable_output_fails_before_any_run(self, tmp_path, capsys, monkeypatch, command):
+        import fdeconv.cli as cli
+
+        def no_sweep(cfgs, jobs=1):
+            raise AssertionError("the sweep ran before the output path was checked")
+
+        monkeypatch.setattr(cli, "_sweep", no_sweep)
+        (tmp_path / "afile").write_text("a regular file\n")
+        code = main(
+            [command, "--set", "N=16", "--set", "j1=3", "--set", "j2=3", "--runs", "1",
+             "--out", str(tmp_path / "afile" / "out")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"fdeconv {command}: NotADirectoryError:" in err
+        assert "Traceback" not in err
 
     def test_numerical_error_exits_three(self, tmp_path, capsys, monkeypatch):
         import fdeconv.cli as cli
